@@ -8,7 +8,6 @@ stays machine-readable and reproducible.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -17,8 +16,7 @@ import numpy as np
 from . import verify
 from .canonical import hk_verify
 from .conformal import dilate_mesh
-from .energies import (energy_linking_bound_check, linking_number,
-                       mobius_energy, willmore_energy, _far_pole)
+from .energies import _far_pole, _linking_bound, mobius_energy, willmore_energy
 from .errors import FormatError, GeometryError
 from .laplace import laplace_minmax
 from .mesh import load_link, load_obj, save_link, save_obj
@@ -93,9 +91,7 @@ def cmd_energy(args):
 def cmd_link_energy(args):
     link = _load_any(args.link)
     rep = mobius_energy(link)
-    flat = project_link(link, _far_pole(link)) if link.dim == 4 else link
-    lk = linking_number(flat)
-    bound = energy_linking_bound_check(link)
+    lk, bound = _linking_bound(link, rep)
     _emit(_json({"energy": rep.value, "relative_error": rep.error,
                  "segments": rep.resolution, "linking_number": lk.value,
                  "lower_bound": bound.bound, "margin": bound.margin}),
@@ -236,8 +232,6 @@ def build_parser():
         prog="cel",
         description="Surface energies, linked curves, and sweepout widths "
                     "on the two- and three-sphere.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread pools (needs threadpoolctl)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a reference mesh or link")
@@ -329,25 +323,9 @@ def build_parser():
     return parser
 
 
-def _cap_threads(n):
-    if n is None:
-        n = os.environ.get("CEL_THREADS")
-        if n is None:
-            return
-        n = int(n)
-    try:
-        import threadpoolctl
-    except ImportError:
-        print("threadpoolctl is not installed; --threads ignored",
-              file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(limits=n)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _cap_threads(args.threads)
         t0 = time.perf_counter()
         code = args.fn(args)
         print(f"done in {time.perf_counter() - t0:.2f}s", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 from ._accum import stable_sum
 from .curvature import estimate_curvatures
 from .errors import InputError, ParameterError, ResolutionError, ResolutionWarning
-from .mesh import PolyLink, TriMesh
+from .mesh import TriMesh, _segments
 from .projection import project_link
 from .shapes import RESOLUTION_FLOOR, _grid_torus_faces, make_shape
 
@@ -94,12 +94,8 @@ def willmore_energy(mesh, field=None, error_estimate=True):
 
 
 def _cross_energy_sum(g1, g2):
-    def mids(g):
-        nxt = np.roll(g, -1, axis=0)
-        return 0.5 * (g + nxt), nxt - g
-
-    m1, v1 = mids(g1)
-    m2, v2 = mids(g2)
+    m1, v1 = _segments(g1)
+    m2, v2 = _segments(g2)
     len1 = np.linalg.norm(v1, axis=1)
     len2 = np.linalg.norm(v2, axis=1)
     d2 = np.sum((m1[:, None, :] - m2[None, :, :]) ** 2, axis=2)
@@ -116,12 +112,10 @@ def mobius_energy(link):
     long segment far from the other curve does not trip it). The error
     estimate reruns the sum on curves subsampled to every other vertex.
     """
-    def mids(g):
-        nxt = np.roll(g, -1, axis=0)
-        return 0.5 * (g + nxt), np.linalg.norm(nxt - g, axis=1)
-
-    m1, len1 = mids(link.gamma1)
-    m2, len2 = mids(link.gamma2)
+    m1, v1 = _segments(link.gamma1)
+    m2, v2 = _segments(link.gamma2)
+    len1 = np.linalg.norm(v1, axis=1)
+    len2 = np.linalg.norm(v2, axis=1)
     dist = np.sqrt(np.sum((m1[:, None, :] - m2[None, :, :]) ** 2, axis=2))
     ratio = dist / np.maximum(len1[:, None], len2[None, :])
     if ratio.min() < 10.0:
@@ -147,12 +141,8 @@ def linking_number(link):
     if link.dim != 3:
         raise InputError("linking_number needs a link in R^3; project first")
 
-    def mids(g):
-        nxt = np.roll(g, -1, axis=0)
-        return 0.5 * (g + nxt), nxt - g
-
-    m1, v1 = mids(link.gamma1)
-    m2, v2 = mids(link.gamma2)
+    m1, v1 = _segments(link.gamma1)
+    m2, v2 = _segments(link.gamma2)
     diff = m1[:, None, :] - m2[None, :, :]
     dist3 = np.sum(diff**2, axis=2) ** 1.5
     # det(v1, v2, diff) row-wise via the scalar triple product
@@ -196,16 +186,9 @@ def _far_pole(link):
     return _POLE_CANDIDATES[best]
 
 
-def energy_linking_bound_check(link):
-    """Check the cross-energy lower bound 4 pi |lk| on one link.
-
-    Links in R^4 (on the three-sphere) are projected stereographically from
-    a deterministically chosen pole before the linking integral, which only
-    needs |lk| and so is projection-invariant. Raises if the margin dips
-    below the reported discretization error, which would signal a broken
-    quadrature rather than a near-equality case.
-    """
-    report = mobius_energy(link)
+def _linking_bound(link, report):
+    """Linking number of `link` and the 4 pi |lk| bound on its cross energy,
+    whose mobius_energy report is given. Links in R^4 are projected first."""
     flat = project_link(link, _far_pole(link)) if link.dim == 4 else link
     lk = linking_number(flat)
     bound = 4.0 * np.pi * abs(lk.value)
@@ -215,7 +198,19 @@ def energy_linking_bound_check(link):
         raise InputError(
             f"cross energy {report.value:.6f} fell below 4pi|lk| = {bound:.6f} "
             "by more than the discretization error")
-    return BoundReport(energy=report.value, bound=bound, margin=margin)
+    return lk, BoundReport(energy=report.value, bound=bound, margin=margin)
+
+
+def energy_linking_bound_check(link):
+    """Check the cross-energy lower bound 4 pi |lk| on one link.
+
+    Links in R^4 (on the three-sphere) are projected stereographically from
+    a deterministically chosen pole before the linking integral, which only
+    needs |lk| and so is projection-invariant. Raises if the margin dips
+    below the reported discretization error, which would signal a broken
+    quadrature rather than a near-equality case.
+    """
+    return _linking_bound(link, mobius_energy(link))[1]
 
 
 # ---------------------------------------------------------------------------

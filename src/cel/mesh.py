@@ -158,6 +158,15 @@ def euler_genus(mesh):
     return genus
 
 
+_TILE_PAIRS = 1 << 16    # point pairs per tile of PolyLink.min_distance
+
+
+def _segments(g):
+    """Midpoints and vectors of the segments i -> i+1 of a closed polyline."""
+    nxt = np.roll(g, -1, axis=0)
+    return 0.5 * (g + nxt), nxt - g
+
+
 @dataclass
 class PolyLink:
     """Two disjoint closed polylines with a common ambient dimension."""
@@ -183,11 +192,7 @@ class PolyLink:
         return self.gamma1.shape[1]
 
     def segments(self, which):
-        g = self.gamma1 if which == 1 else self.gamma2
-        nxt = np.roll(g, -1, axis=0)
-        mid = 0.5 * (g + nxt)
-        vec = nxt - g
-        return mid, vec
+        return _segments(self.gamma1 if which == 1 else self.gamma2)
 
     def min_distance(self):
         """Smallest distance between sample points of the two components.
@@ -195,12 +200,14 @@ class PolyLink:
         Vertices and segment midpoints are compared; this is a sampling
         bound, not an exact curve distance, and is documented as such.
         """
-        m1, _ = self.segments(1)
-        m2, _ = self.segments(2)
-        p1 = np.vstack([self.gamma1, m1])
-        p2 = np.vstack([self.gamma2, m2])
-        d2 = np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(d2.min()))
+        p1 = np.vstack([self.gamma1, self.segments(1)[0]])
+        p2 = np.vstack([self.gamma2, self.segments(2)[0]])
+        # row tiles keep memory linear in the curve lengths; the minimum is
+        # taken element by element, so tiling does not change the value
+        step = max(1, _TILE_PAIRS // len(p2))
+        d2 = min(float(np.sum((p1[i:i + step, None, :] - p2[None, :, :]) ** 2, axis=2).min())
+                 for i in range(0, len(p1), step))
+        return float(np.sqrt(d2))
 
     def diameter(self):
         pts = np.vstack([self.gamma1, self.gamma2])

@@ -11,6 +11,17 @@ grouped difference recovers every per-vertex derivative exactly, at the
 cost of one localized refit per class and axis instead of one per vertex
 and axis.
 
+The refits use the dense-stencil fit kernel of curvature.py and reuse each
+class's unmoved geometry. Once per class, the chart coordinates, ambient
+differences and S^3 tangent bases of every affected stencil row are taken
+at the unperturbed positions. A probe then recomputes the rows of the
+displaced members and, in every other row, the one two-ring slot that holds
+its displaced member; fan normals and areas are read from those slots, and
+the fit runs on all rows. Entries a probe leaves alone are the same numbers
+in both probes of a difference, so they cancel exactly. Probes of different
+classes are not stacked into one kernel call: the stacked working set
+outgrows the cache and ran slower.
+
 On the three-sphere, positions are renormalized to unit length before every
 evaluation. Differencing the composition with the projection makes radial
 gradient components vanish identically, so the descent never needs an
@@ -22,12 +33,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from ._accum import stable_sum
-from .curvature import (_s3_chart, _s3_tangent_basis, _tangent_pair,
-                        _two_ring)
+from .curvature import (_chart, _fan_sums, _quadric_fit, _ring_coords,
+                        _s3_tangent_basis, _stencils)
 from .energies import _cross_energy_sum, _resample_closed, willmore_energy
 from .errors import InputError, MeshQualityError, ParameterError
-from .mesh import PolyLink, TriMesh
+from .mesh import PolyLink, _segments
 from .shapes import tube_torus
 
 
@@ -52,30 +62,18 @@ class SweepReport(NamedTuple):
 class _LocalEnergyModel:
     """Per-vertex bending energy terms with localized refits.
 
-    The combinatorics (two-ring stencils, vertex-face incidence, conflict
-    coloring) depend only on the faces and are precomputed once; after that,
-    energy terms for any subset of vertices can be evaluated at any vertex
+    The combinatorics (dense two-ring and fan tables, conflict coloring)
+    depend only on the faces and are precomputed once; after that, energy
+    terms for any subset of vertices can be evaluated at any vertex
     positions.
     """
 
     def __init__(self, mesh):
-        self.faces = mesh.faces
         self.ambient = mesh.ambient
         self.dim = mesh.vertices.shape[1]
         self.n = mesh.vertex_count
-        self.indptr, self.indices = _two_ring(mesh)
-
-        flat = self.faces.ravel()
-        order = np.argsort(flat, kind="stable")
-        self.vf_face = order // 3
-        self.vf_corner = order % 3
-        counts = np.bincount(flat, minlength=self.n)
-        self.vf_ptr = np.concatenate([[0], np.cumsum(counts)])
-
+        self.ring, self.counts, self.fan = _stencils(mesh)
         self.classes = self._conflict_classes()
-        self._class_rows = [self._row_layout(c) for c in self.classes]
-
-    # -- structure ---------------------------------------------------------
 
     def _conflict_classes(self):
         """Greedy classes of vertices pairwise farther than 4 edges apart.
@@ -84,8 +82,9 @@ class _LocalEnergyModel:
         happens exactly when their two-rings-with-self intersect.
         """
         n = self.n
-        cols = self.indices
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        real = np.arange(self.ring.shape[1]) < self.counts[:, None]
+        cols = self.ring[real]
+        rows = np.repeat(np.arange(n), self.counts)
         data = np.ones(len(cols), dtype=np.int8)
         reach = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         reach += sp.eye(n, dtype=np.int8, format="csr")
@@ -100,124 +99,23 @@ class _LocalEnergyModel:
             color[v] = c
         return [np.flatnonzero(color == c) for c in range(color.max() + 1)]
 
-    def _row_layout(self, members):
-        """Concatenated fit rows for one class: each member contributes its
-        own two-ring-with-self block, blocks disjoint by construction."""
-        blocks = [np.concatenate(([v], self.indices[self.indptr[v]:
-                                                    self.indptr[v + 1]]))
-                  for v in members]
-        rows = np.concatenate(blocks)
-        ptr = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
-        return rows, ptr
+    def _basis(self, pts):
+        return _s3_tangent_basis(pts) if self.ambient == "S3" else None
 
-    def _gather(self, rows):
-        """Index arrays to evaluate fits for `rows`: two-ring points and
-        incident (face, corner) pairs, both grouped by row."""
-        nbr_blocks = [self.indices[self.indptr[r]:self.indptr[r + 1]]
-                      for r in rows]
-        nbr_ptr = np.concatenate([[0], np.cumsum([len(b) for b in nbr_blocks])])
-        nbr_idx = np.concatenate(nbr_blocks)
-        nbr_owner = np.repeat(np.arange(len(rows)), np.diff(nbr_ptr))
+    def _terms(self, local, diff, fan, counts):
+        """Energy term (H^2 w, plus area weight w itself on S^3) of each
+        stencil row from its fit inputs."""
+        frame_n, weight = _fan_sums(local, diff, fan)
+        _, (s11, _, _, s22), _ = _quadric_fit(local, frame_n, counts)
+        h2 = (0.5 * (s11 + s22)) ** 2
+        return (1.0 + h2) * weight if self.ambient == "S3" else h2 * weight
 
-        vf_blocks = [slice(self.vf_ptr[r], self.vf_ptr[r + 1]) for r in rows]
-        f_idx = np.concatenate([self.vf_face[s] for s in vf_blocks])
-        f_corner = np.concatenate([self.vf_corner[s] for s in vf_blocks])
-        f_owner = np.repeat(np.arange(len(rows)),
-                            [s.stop - s.start for s in vf_blocks])
-        return nbr_idx, nbr_ptr, nbr_owner, f_idx, f_corner, f_owner
-
-    # -- evaluation --------------------------------------------------------
-
-    def energy_terms(self, positions, rows, gather):
-        """Energy term (H^2 w, plus area weight w itself on S^3) for each
-        row, at the given positions. Mirrors the full-mesh curvature fit."""
-        nbr_idx, nbr_ptr, nbr_owner, f_idx, f_corner, f_owner = gather
-        base = positions[rows]
-        fpts = self.faces[f_idx]
-        own_p = positions[rows[f_owner]]
-        nb1 = positions[fpts[np.arange(len(f_idx)), (f_corner + 1) % 3]]
-        nb2 = positions[fpts[np.arange(len(f_idx)), (f_corner + 2) % 3]]
-
-        # areas of incident faces -> barycentric weights
-        u = nb1 - own_p
-        w2 = nb2 - own_p
-        uu = np.einsum("ij,ij->i", u, u)
-        vv = np.einsum("ij,ij->i", w2, w2)
-        uv = np.einsum("ij,ij->i", u, w2)
-        tri_area = 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
-        weight = np.zeros(len(rows))
-        np.add.at(weight, f_owner, tri_area / 3.0)
-
-        if self.ambient == "S3":
-            basis = _s3_tangent_basis(base)
-            acc = np.zeros((len(rows), 3))
-            y1 = _s3_chart(own_p, nb1)
-            y2 = _s3_chart(own_p, nb2)
-            c1 = np.einsum("fkd,fd->fk", basis[f_owner], y1)
-            c2 = np.einsum("fkd,fd->fk", basis[f_owner], y2)
-            np.add.at(acc, f_owner, np.cross(c1, c2))
-            norms = np.linalg.norm(acc, axis=1)
-            if np.any(norms < 1e-300):
-                raise MeshQualityError("chart normal accumulation vanished")
-            frame_n = acc / norms[:, None]
-            y4 = _s3_chart(base[nbr_owner], positions[nbr_idx])
-            local = np.einsum("pkd,pd->pk", basis[nbr_owner], y4)
-        else:
-            acc = np.zeros((len(rows), 3))
-            np.add.at(acc, f_owner, np.cross(u, w2))
-            norms = np.linalg.norm(acc, axis=1)
-            if np.any(norms < 1e-300):
-                raise MeshQualityError("vertex normal accumulation vanished")
-            frame_n = acc / norms[:, None]
-            local = positions[nbr_idx] - base[nbr_owner]
-
-        e1, e2 = _tangent_pair(frame_n)
-        x = np.einsum("pk,pk->p", local, e1[nbr_owner])
-        y = np.einsum("pk,pk->p", local, e2[nbr_owner])
-        h = np.einsum("pk,pk->p", local, frame_n[nbr_owner])
-
-        r = np.sqrt(x * x + y * y + h * h)
-        scale = np.add.reduceat(r, nbr_ptr[:-1]) / np.diff(nbr_ptr)
-        if np.any(scale <= 0.0):
-            raise MeshQualityError("coincident vertices in a fit neighborhood")
-        s = scale[nbr_owner]
-        x, y, h = x / s, y / s, h / s
-
-        cols = np.stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y,
-                         x * x * x, x * x * y, x * y * y, y * y * y], axis=1)
-        ncol = cols.shape[1]
-        if np.any(np.diff(nbr_ptr) < ncol):
-            raise MeshQualityError("a fit neighborhood has too few points")
-        ata = np.zeros((len(rows), ncol, ncol))
-        atb = np.zeros((len(rows), ncol))
-        for a in range(ncol):
-            atb[:, a] = np.add.reduceat(cols[:, a] * h, nbr_ptr[:-1])
-            for b in range(a, ncol):
-                vals = np.add.reduceat(cols[:, a] * cols[:, b], nbr_ptr[:-1])
-                ata[:, a, b] = vals
-                ata[:, b, a] = vals
-        try:
-            coef = np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise MeshQualityError("rank-deficient fit neighborhood") from exc
-
-        a1, a2 = coef[:, 0], coef[:, 1]
-        hxx = coef[:, 2] / scale
-        hxy = coef[:, 3] / scale
-        hyy = coef[:, 4] / scale
-        wgrad = np.sqrt(1.0 + a1 * a1 + a2 * a2)
-        l11, l12, l22 = hxx / wgrad, hxy / wgrad, hyy / wgrad
-        g11 = 1.0 + a1 * a1
-        g12 = a1 * a2
-        g22 = 1.0 + a2 * a2
-        detg = g11 * g22 - g12 * g12
-        s11 = (g22 * l11 - g12 * l12) / detg
-        s22 = (g11 * l22 - g12 * l12) / detg
-        mean_h = -0.5 * (s11 + s22)
-
-        if self.ambient == "S3":
-            return (1.0 + mean_h ** 2) * weight
-        return mean_h ** 2 * weight
+    def energy_terms(self, positions, rows):
+        """Energy term of each vertex in `rows` at the given positions; the
+        same fit as the full-mesh curvature estimate."""
+        local, diff = _ring_coords(positions, rows, self.ring,
+                                   self._basis(positions[rows]))
+        return self._terms(local, diff, self.fan[rows], self.counts[rows])
 
     def gradient(self, positions, h=None):
         """Central-difference gradient of the total energy, (V, dim)."""
@@ -225,8 +123,27 @@ class _LocalEnergyModel:
             lo, hi = positions.min(axis=0), positions.max(axis=0)
             h = 1e-5 * max(float(np.linalg.norm(hi - lo)), 1e-12)
         grad = np.zeros((self.n, self.dim))
-        for members, (rows, ptr) in zip(self.classes, self._class_rows):
-            gather = self._gather(rows)
+        for members in self.classes:
+            # stencil rows of the class: each member, then its two-ring;
+            # the blocks are disjoint by construction
+            sizes = self.counts[members] + 1
+            ptr = np.concatenate([[0], np.cumsum(sizes)])
+            block = np.concatenate([members[:, None], self.ring[members]], axis=1)
+            rows = block[np.arange(block.shape[1]) < sizes[:, None]]
+            lead = ptr[:-1]
+            rest = np.delete(np.arange(len(rows)), lead)
+            owner = np.repeat(members, sizes)[rest]
+
+            basis = self._basis(positions[rows])
+            local, diff = _ring_coords(positions, rows, self.ring, basis)
+            fan, counts = self.fan[rows], self.counts[rows]
+            # every other row sees the displaced member at exactly one
+            # two-ring slot; a probe rewrites the member rows and those
+            # slots, all other entries keep their unperturbed values
+            slot = np.argmax(self.ring[rows[rest]] == owner[:, None], axis=1)
+            rest_base = positions[rows[rest]]
+            rest_basis = None if basis is None else basis[rest]
+
             for axis in range(self.dim):
                 sums = []
                 for sign in (1.0, -1.0):
@@ -235,7 +152,13 @@ class _LocalEnergyModel:
                     if self.ambient == "S3":
                         pts[members] /= np.linalg.norm(pts[members],
                                                        axis=1)[:, None]
-                    terms = self.energy_terms(pts, rows, gather)
+                    local[lead], diff[lead] = _ring_coords(
+                        pts, members, self.ring, self._basis(pts[members]))
+                    moved_local, moved_diff = _chart(
+                        rest_base, pts[owner, None, :], rest_basis)
+                    local[rest, slot] = moved_local[:, 0]
+                    diff[rest, slot] = moved_diff[:, 0]
+                    terms = self._terms(local, diff, fan, counts)
                     sums.append(np.add.reduceat(terms, ptr[:-1]))
                 grad[members, axis] = (sums[0] - sums[1]) / (2.0 * h)
         return grad
@@ -318,10 +241,6 @@ def willmore_descent(mesh, steps=20, grad_tol=1e-6, move_scale=0.02):
                              status=status)
 
 
-def _link_energy(g1, g2):
-    return _cross_energy_sum(g1, g2)
-
-
 def mobius_gradient(link):
     """Central-difference gradient of the cross energy of an R^3 link.
 
@@ -333,33 +252,30 @@ def mobius_gradient(link):
         raise InputError("descent runs on links in R^3; project first")
     h = 1e-6 * link.diameter()
 
-    def mids(g):
-        nxt = np.roll(g, -1, axis=0)
-        return 0.5 * (g + nxt), np.linalg.norm(nxt - g, axis=1)
-
-    def row_sums(ga, gb, k):
+    def row_sums(ga, mb, lb, k):
         """Quadrature mass of the two segments of `ga` meeting vertex k,
-        against all segments of `gb`."""
+        against all segments (midpoints mb, lengths lb) of the other curve."""
         n = len(ga)
         segs = np.array([(k - 1) % n, k])
         a = ga[segs]
         b = ga[(segs + 1) % n]
         mid = 0.5 * (a + b)
         ln = np.linalg.norm(b - a, axis=1)
-        mb, lb = mids(gb)
         d2 = np.sum((mid[:, None, :] - mb[None, :, :]) ** 2, axis=2)
         return float(np.sum((ln[:, None] * lb[None, :]) / d2))
 
     grads = []
     for ga, gb in ((link.gamma1, link.gamma2), (link.gamma2, link.gamma1)):
         g = np.zeros_like(ga)
+        mb, vb = _segments(gb)
+        lb = np.linalg.norm(vb, axis=1)
         for k in range(len(ga)):
             for axis in range(3):
                 vals = []
                 for sign in (1.0, -1.0):
                     pert = ga.copy()
                     pert[k, axis] += sign * h
-                    vals.append(row_sums(pert, gb, k))
+                    vals.append(row_sums(pert, mb, lb, k))
                 g[k, axis] = (vals[0] - vals[1]) / (2.0 * h)
         grads.append(g)
     return grads[0], grads[1]
@@ -369,7 +285,7 @@ def mobius_relative_gradient(link):
     """Scale-free stationarity measure for the cross energy."""
     g1, g2 = mobius_gradient(link)
     gn = float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2)))
-    value = _link_energy(link.gamma1, link.gamma2)
+    value = _cross_energy_sum(link.gamma1, link.gamma2)
     return gn * link.diameter() / max(abs(value), 1e-30)
 
 
@@ -396,7 +312,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
         d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
         return float(np.sqrt(d2.min()))
 
-    energies = [_link_energy(g1, g2)]
+    energies = [_cross_energy_sum(g1, g2)]
     gnorms = []
     status = "max_steps"
     accepted = 0
@@ -417,7 +333,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
         gstack = np.vstack([d1, d2])
         alpha0 = move_scale * diameter / max(np.linalg.norm(gstack, axis=1).max(),
                                              1e-30)
-        new, e, ok = _armijo(lambda x: _link_energy(x[:n1], x[n1:]),
+        new, e, ok = _armijo(lambda x: _cross_energy_sum(x[:n1], x[n1:]),
                              stacked, gstack, energies[-1], alpha0)
         if not ok:
             status = "stagnated"
@@ -428,7 +344,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
         if accepted % resample_every == 0:
             r1 = _resample_closed(g1, n1)
             r2 = _resample_closed(g2, n2)
-            e_res = _link_energy(r1, r2)
+            e_res = _cross_energy_sum(r1, r2)
             if e_res <= energies[-1]:
                 g1, g2 = r1, r2
                 energies.append(e_res)

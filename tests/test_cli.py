@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import cel.cli
+import cel.energies
 from cel.cli import main
 
 
@@ -46,6 +48,26 @@ def test_link_energy(tmp_path, capsys):
     assert payload["linking_number"] == 1
     assert payload["energy"] == pytest.approx(2.0 * np.pi ** 2, rel=1e-2)
     assert payload["margin"] > 0
+
+
+def test_link_energy_runs_each_kernel_once(tmp_path, capsys, monkeypatch):
+    link = str(tmp_path / "l.json")
+    main(["generate", "hopf_link", "--resolution", "96", "-o", link])
+    capsys.readouterr()
+    calls = {"mobius_energy": 0, "linking_number": 0}
+    for name in calls:
+        original = getattr(cel.energies, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (cel.cli, cel.energies):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, _ = run(capsys, "link-energy", link)
+    assert code == 0
+    assert calls == {"mobius_energy": 1, "linking_number": 1}
 
 
 def test_unlinked_pair_has_zero_bound(tmp_path, capsys):

@@ -71,6 +71,16 @@ def test_link_rejects_contact():
         PolyLink(circle, circle.copy())
 
 
+def test_min_distance_matches_brute_force():
+    rng = np.random.default_rng(5)
+    link = cel.PolyLink(rng.normal(size=(300, 3)),
+                        rng.normal(size=(700, 3)) + 4.0)
+    p1 = np.vstack([link.gamma1, link.segments(1)[0]])
+    p2 = np.vstack([link.gamma2, link.segments(2)[0]])
+    brute = np.sqrt(np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2).min())
+    assert link.min_distance() == brute
+
+
 def test_obj_round_trip(tmp_path, clifford16):
     path = str(tmp_path / "mesh.obj")
     save_obj(clifford16, path)

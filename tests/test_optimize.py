@@ -7,17 +7,18 @@ import pytest
 
 from cel import (ParameterError, ResolutionWarning, estimate_curvatures,
                  make_shape, mobius_descent, mobius_energy,
-                 tube_family_sweep, willmore_descent,
+                 tube_family_sweep, willmore_descent, willmore_energy,
                  willmore_relative_gradient)
 from cel.energies import _far_pole, _cross_energy_sum
 from cel.fixtures import perturb_link, perturb_mesh
-from cel.optimize import mobius_gradient, willmore_gradient
+from cel.optimize import (_LocalEnergyModel, mobius_gradient,
+                          willmore_gradient)
 from cel.projection import project_link
 
 
-def brute_willmore_gradient(mesh, h):
-    """Central differences over every vertex and axis, one full curvature
-    refit per evaluation. Only usable on tiny meshes."""
+def brute_willmore_gradient(mesh, h, vertices=None):
+    """Central differences over every vertex (or the given ones) and axis,
+    one full curvature refit per evaluation. Only usable on tiny meshes."""
     s3 = mesh.ambient == "S3"
 
     def energy(verts):
@@ -27,7 +28,7 @@ def brute_willmore_gradient(mesh, h):
         return float(np.sum(dens * f.weight))
 
     grad = np.zeros_like(mesh.vertices)
-    for i in range(mesh.vertex_count):
+    for i in range(mesh.vertex_count) if vertices is None else vertices:
         for a in range(mesh.vertices.shape[1]):
             plus = mesh.vertices.copy()
             plus[i, a] += h
@@ -57,6 +58,31 @@ def test_grouped_gradient_matches_brute_force_s3():
     slow = brute_willmore_gradient(mesh, h)
     scale = np.abs(slow).max()
     assert np.abs(fast - slow).max() / scale < 1e-6
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("sphere", {}),
+    ("geodesic_sphere", {"center": (0.5, 0.5, 0.5, 0.5), "radius": 1.2}),
+])
+def test_grouped_gradient_matches_brute_force_on_icospheres(kind, kw):
+    # the derivative at a valence-5 vertex sums terms of two-rings shorter
+    # than the padded stencil width
+    mesh = perturb_mesh(make_shape(kind, resolution=8, **kw), 0.02, seed=5)
+    vertices = np.flatnonzero(np.bincount(mesh.faces.ravel()) == 5)
+    assert len(vertices) == 12
+    h = 1e-5 * mesh.bbox_diameter()
+    fast = willmore_gradient(mesh)[vertices]
+    slow = brute_willmore_gradient(mesh, h, vertices)[vertices]
+    assert np.abs(fast - slow).max() / np.abs(slow).max() < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["tube_torus", "sphere", "clifford_torus"])
+def test_local_terms_sum_to_the_energy(kind):
+    mesh = perturb_mesh(make_shape(kind, resolution=12), 0.05, seed=6)
+    terms = _LocalEnergyModel(mesh).energy_terms(
+        mesh.vertices, np.arange(mesh.vertex_count))
+    want = willmore_energy(mesh, error_estimate=False).value
+    assert abs(np.sum(terms) - want) <= 1e-12 * abs(want)
 
 
 def test_mobius_gradient_matches_brute_force():
