@@ -56,22 +56,21 @@ class CurvatureField:
 
 
 def _two_ring(mesh):
-    """CSR arrays (indptr, indices) of one-ring plus two-ring neighbors."""
-    i = np.concatenate([mesh.faces[:, 0], mesh.faces[:, 1], mesh.faces[:, 2],
-                        mesh.faces[:, 1], mesh.faces[:, 2], mesh.faces[:, 0]])
-    j = np.concatenate([mesh.faces[:, 1], mesh.faces[:, 2], mesh.faces[:, 0],
-                        mesh.faces[:, 0], mesh.faces[:, 1], mesh.faces[:, 2]])
+    """One-ring plus two-ring neighbors of each vertex, as a CSR pattern
+    with sorted rows and unit entries. Path counts are summed in int64: in
+    a narrow type a count can wrap to zero and drop its neighbor."""
     n = mesh.vertex_count
-    ones = np.ones(len(i), dtype=np.int8)
-    adj = sp.csr_matrix((ones, (i, j)), shape=(n, n))
-    adj.data[:] = 1
+    tail, head = mesh.faces.ravel(), mesh.faces[:, [1, 2, 0]].ravel()
+    ones = np.ones(2 * len(tail), dtype=np.int64)
+    adj = sp.csr_matrix((ones, (np.r_[tail, head], np.r_[head, tail])), shape=(n, n))
     two = adj + adj @ adj
-    two = two.tolil()
+    # every vertex of a face reaches itself in two steps, so the diagonal
+    # is stored and setdiag rewrites it in place
     two.setdiag(0)
-    two = two.tocsr()
     two.eliminate_zeros()
     two.sort_indices()
-    return two.indptr, two.indices
+    two.data[:] = 1
+    return two
 
 
 def _padded(indptr, values, fill):
@@ -88,11 +87,13 @@ def _stencils(mesh):
 
     Returns the two-ring (V, m_max), padded with each vertex's own index (no
     vertex is in its own two-ring, so padding is recognisable); the two-ring
-    sizes; and the fan (V, f_max, 2), which names the other two corners of
+    sizes; the fan (V, f_max, 2), which names the other two corners of
     each incident face, in winding order, by their slots in the two-ring
-    row. Padded fan slots name slot 0 twice, a degenerate triangle.
+    row; and the two-ring CSR pattern itself. Padded fan slots name slot 0
+    twice, a degenerate triangle.
     """
-    indptr, indices = _two_ring(mesh)
+    two = _two_ring(mesh)
+    indptr, indices = two.indptr, two.indices
     n = mesh.vertex_count
     counts = np.diff(indptr)
     flat = mesh.faces.ravel()
@@ -108,7 +109,7 @@ def _stencils(mesh):
         return np.searchsorted(keys, owner * n + nbr) - indptr[owner]
 
     fan = np.stack([_padded(fptr, slots(k), 0) for k in (1, 2)], axis=2)
-    return _padded(indptr, indices, np.arange(n)[:, None]), counts, fan
+    return _padded(indptr, indices, np.arange(n)[:, None]), counts, fan, two
 
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
@@ -276,17 +277,17 @@ def _quadric_fit(local, frame_n, counts):
 
 def estimate_curvatures(mesh):
     """Estimate a CurvatureField for a closed mesh in R^3 or on S^3."""
-    ring, counts, fan = _stencils(mesh)
+    ring, counts, fan, _ = _stencils(mesh)
     basis = _s3_tangent_basis(mesh.vertices) if mesh.ambient == "S3" else None
     local, diff = _ring_coords(mesh.vertices, np.arange(mesh.vertex_count), ring, basis)
     frame_n, weight = _fan_sums(local, diff, fan)
     (a1, a2), (s11, s12, s21, s22), (e1, e2) = _quadric_fit(local, frame_n, counts)
 
     # sign convention: eigenvalues of minus the Monge-patch shape operator,
-    # so the outward-wound unit sphere reports +1
+    # so the outward-wound unit sphere reports +1; the discriminant
+    # tr^2 - 4 det is expanded so that it does not cancel at umbilics
     tr = -(s11 + s22)
-    det = s11 * s22 - s12 * s21
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    disc = np.sqrt(np.maximum((s11 - s22) ** 2 + 4.0 * s12 * s21, 0.0))
     k1 = 0.5 * (tr + disc)
     k2 = 0.5 * (tr - disc)
 

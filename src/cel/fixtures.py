@@ -17,16 +17,6 @@ def ellipsoid_s3(a=1.0, b=0.8, c=0.6, resolution=32, pole=(0.0, 0.0, 0.0, 1.0)):
     return lift_mesh(flat, np.asarray(pole, dtype=np.float64))
 
 
-def _cell_quad(n, m, i, j):
-    """Vertex ids of grid cell (i, j) on an n x m wraparound grid, in the
-    cycle order a, b, c, d used by the face builder."""
-    a = i * m + j
-    b = ((i + 1) % n) * m + j
-    c = ((i + 1) % n) * m + (j + 1) % m
-    d = i * m + (j + 1) % m
-    return a, b, c, d
-
-
 def genus2_surface(big_radius=2.0, tube_radius=1.0, resolution=16):
     """Genus-two surface: two tube tori joined through a square neck.
 
@@ -41,15 +31,14 @@ def genus2_surface(big_radius=2.0, tube_radius=1.0, resolution=16):
                       resolution=resolution)
     n = resolution
     verts1 = base.vertices
-    # drop the two faces of cell (0, 0); its corner a sits at the outermost
-    # point (R + r, 0, 0) of the torus
-    keep = np.ones(base.face_count, dtype=bool)
-    keep[0] = keep[1] = False
-    faces1 = base.faces[keep]
-    quad = _cell_quad(n, n, 0, 0)
+    # drop the two faces of the first grid cell, whose corners are grid
+    # vertices 0, 1, n and n + 1; vertex 0 sits at the outermost point
+    # (R + r, 0, 0) of the torus
+    faces1 = base.faces[2:]
+    quad = np.unique(base.faces[:2])
 
     outer = big_radius + tube_radius
-    cell_span = np.linalg.norm(verts1[quad[0]] - verts1[quad[2]])
+    cell_span = np.linalg.norm(verts1[0] - verts1[n + 1])
     plane_x = outer + 0.25 * cell_span
 
     verts2 = verts1.copy()

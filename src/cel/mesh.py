@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import FormatError, InputError, MeshQualityError, ParameterError
 
@@ -62,10 +64,13 @@ class TriMesh:
         return len(self.faces)
 
     def edges(self, return_counts=False):
-        """Unique undirected edges as sorted index pairs."""
-        raw = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        raw = np.sort(raw, axis=1)
-        return np.unique(raw, axis=0, return_counts=return_counts)
+        """Unique undirected edges as sorted index pairs, in lexicographic
+        order; each pair is keyed by one integer, a * V + b."""
+        raw = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        n = self.vertex_count
+        keys, counts = np.unique(raw[:, 0] * n + raw[:, 1], return_counts=True)
+        edges = np.stack(np.divmod(keys, n), axis=1)
+        return (edges, counts) if return_counts else edges
 
     def face_areas(self):
         """Flat triangle areas, valid in any ambient dimension."""
@@ -102,10 +107,6 @@ class TriMesh:
         """Full structural check. Raises MeshQualityError on failure."""
         if self.face_count == 0:
             raise MeshQualityError("mesh has no faces")
-        edges, counts = self.edges(return_counts=True)
-        if np.any(counts != 2):
-            raise MeshQualityError("mesh is not closed: some edges do not "
-                                   "belong to exactly two faces")
         directed = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         uniq = np.unique(directed, axis=0)
         if len(uniq) != len(directed):
@@ -116,26 +117,8 @@ class TriMesh:
             norms = np.linalg.norm(self.vertices, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-12:
                 raise MeshQualityError("S3 mesh has vertices off the unit sphere")
-        _ = euler_genus(self)
+        euler_genus(self)    # checks closedness and connectivity
         return self
-
-
-def _connected(n_vertices, edges):
-    """Union-find connectivity over the edge list."""
-    parent = np.arange(n_vertices)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(i) for i in range(n_vertices)}
-    return len(roots) == 1
 
 
 def euler_genus(mesh):
@@ -147,7 +130,9 @@ def euler_genus(mesh):
     edges, counts = mesh.edges(return_counts=True)
     if np.any(counts != 2):
         raise MeshQualityError("genus undefined: mesh is not closed")
-    if not _connected(mesh.vertex_count, edges):
+    graph = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                          shape=(mesh.vertex_count,) * 2)
+    if connected_components(graph, directed=False, return_labels=False) != 1:
         raise MeshQualityError("genus undefined: mesh is not connected")
     chi = mesh.vertex_count - len(edges) + mesh.face_count
     if chi % 2 != 0:

@@ -31,7 +31,6 @@ explicit tangency constraint.
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .curvature import (_chart, _fan_sums, _quadric_fit, _ring_coords,
                         _s3_tangent_basis, _stencils)
@@ -72,23 +71,21 @@ class _LocalEnergyModel:
         self.ambient = mesh.ambient
         self.dim = mesh.vertices.shape[1]
         self.n = mesh.vertex_count
-        self.ring, self.counts, self.fan = _stencils(mesh)
-        self.classes = self._conflict_classes()
+        self.ring, self.counts, self.fan, two = _stencils(mesh)
+        self.classes = self._conflict_classes(two)
 
-    def _conflict_classes(self):
+    @staticmethod
+    def _conflict_classes(two):
         """Greedy classes of vertices pairwise farther than 4 edges apart.
 
         Two vertices conflict when some energy term depends on both, which
-        happens exactly when their two-rings-with-self intersect.
+        happens exactly when their two-rings-with-self intersect. With the
+        two-ring pattern T symmetric, that is the pattern of (T + I)(T + I)^T
+        = T @ T + 2T + I, which off the diagonal is the pattern of
+        T @ T + T.
         """
-        n = self.n
-        real = np.arange(self.ring.shape[1]) < self.counts[:, None]
-        cols = self.ring[real]
-        rows = np.repeat(np.arange(n), self.counts)
-        data = np.ones(len(cols), dtype=np.int8)
-        reach = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        reach += sp.eye(n, dtype=np.int8, format="csr")
-        conflict = (reach @ reach.T).tocsr()
+        n = two.shape[0]
+        conflict = two @ two + two
         color = np.full(n, -1, dtype=np.int64)
         for v in range(n):
             taken = set(color[conflict.indices[conflict.indptr[v]:

@@ -115,26 +115,21 @@ def ellipsoid(a=1.0, b=1.0, c=1.0, resolution=32):
 
 
 def _grid_torus_faces(positions, n, m=None):
-    """Faces for an n x m wraparound grid, quads split along the shorter
-    diagonal (ties take the (i,j)-(i+1,j+1) diagonal)."""
+    """Faces for an n x m wraparound grid, two per cell in row-major cell
+    order. The quad a, b, c, d of cell (i, j) runs (i, j), (i+1, j),
+    (i+1, j+1), (i, j+1) and is split along the shorter diagonal (ties take
+    the a-c diagonal)."""
     if m is None:
         m = n
-    faces = []
-    for i in range(n):
-        for j in range(m):
-            a = i * m + j
-            b = ((i + 1) % n) * m + j
-            c = ((i + 1) % n) * m + (j + 1) % m
-            d = i * m + (j + 1) % m
-            diag_ac = np.sum((positions[a] - positions[c]) ** 2)
-            diag_bd = np.sum((positions[b] - positions[d]) ** 2)
-            if diag_ac <= diag_bd:
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-            else:
-                faces.append((a, b, d))
-                faces.append((b, c, d))
-    return np.array(faces, dtype=np.int64)
+    i, j = np.divmod(np.arange(n * m), m)
+    i1, j1 = (i + 1) % n, (j + 1) % m
+    a, b, c, d = i * m + j, i1 * m + j, i1 * m + j1, i * m + j1
+    diag_ac = np.sum((positions[a] - positions[c]) ** 2, axis=1)
+    diag_bd = np.sum((positions[b] - positions[d]) ** 2, axis=1)
+    faces = np.where((diag_ac <= diag_bd)[:, None],
+                     np.stack([a, b, c, a, c, d], axis=1),
+                     np.stack([a, b, d, b, c, d], axis=1))
+    return faces.reshape(-1, 3)
 
 
 def tube_torus(big_radius=2.0, tube_radius=1.0, resolution=32):

@@ -10,8 +10,10 @@ import cel
 from cel import (FormatError, InputError, NearPoleError, ParameterError,
                  PolyLink, TriMesh, euler_genus, load_link, load_obj,
                  make_shape, save_link, save_obj)
+from cel.energies import gauss_map_torus
 from cel.fixtures import genus2_surface
 from cel.projection import stereographic, stereographic_inverse
+from cel.shapes import _grid_torus_faces
 
 
 def test_mesh_validate_all_kinds():
@@ -31,6 +33,76 @@ def test_euler_genus():
     g2 = genus2_surface(resolution=16)
     g2.validate()
     assert euler_genus(g2) == 2
+
+
+def test_euler_genus_rejects_disjoint_spheres():
+    s = make_shape("sphere", resolution=8)
+    pair = TriMesh(np.vstack([s.vertices, s.vertices + 3.0]),
+                   np.vstack([s.faces, s.faces + s.vertex_count]))
+    with pytest.raises(cel.MeshQualityError, match="not connected"):
+        euler_genus(pair)
+
+
+def _reference_grid_faces(positions, n, m):
+    """Cell-by-cell construction of the grid torus faces."""
+    faces = []
+    for i in range(n):
+        for j in range(m):
+            a = i * m + j
+            b = ((i + 1) % n) * m + j
+            c = ((i + 1) % n) * m + (j + 1) % m
+            d = i * m + (j + 1) % m
+            diag_ac = np.sum((positions[a] - positions[c]) ** 2)
+            diag_bd = np.sum((positions[b] - positions[d]) ** 2)
+            if diag_ac <= diag_bd:
+                faces.append((a, b, c))
+                faces.append((a, c, d))
+            else:
+                faces.append((a, b, d))
+                faces.append((b, c, d))
+    return np.array(faces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [8, 13, 16, 24, 32])
+@pytest.mark.parametrize("kind", ["tube_torus", "clifford_torus"])
+def test_grid_faces_match_cell_by_cell_reference(kind, n):
+    # Clifford grid quads are squares, so both diagonals tie exactly
+    verts = make_shape(kind, resolution=n).vertices
+    faces = _grid_torus_faces(verts, n)
+    assert faces.dtype == np.int64
+    np.testing.assert_array_equal(faces, _reference_grid_faces(verts, n, n))
+
+
+def test_grid_faces_on_an_unequal_gauss_map_grid():
+    link = PolyLink(cel.hopf_link(64).gamma1,
+                    cel.perturb_link(cel.hopf_link(96), 0.1, seed=5).gamma2)
+    torus = gauss_map_torus(link)
+    np.testing.assert_array_equal(
+        torus.faces, _reference_grid_faces(torus.vertices, 64, 96))
+
+
+def test_genus2_surface_is_pinned():
+    g2 = genus2_surface(resolution=16)
+    assert (g2.vertex_count, g2.face_count) == (508, 1020)
+    assert g2.area() == pytest.approx(156.7642862120606, rel=1e-12)
+    assert g2.vertices[:, 0].max() == pytest.approx(9.609844938560219, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("sphere", dict(resolution=20)),
+    ("geodesic_sphere", dict(resolution=16, center=(0, 0, 1, 0), radius=1.0)),
+])
+def test_principal_curvatures_ignore_vertex_labels(kind, kw):
+    # every vertex of a round sphere is umbilic, where k1 - k2 is a square
+    # root of rounding noise unless the discriminant is formed as a sum
+    mesh = make_shape(kind, **kw)
+    perm = np.random.default_rng(11).permutation(mesh.vertex_count)
+    inv = np.argsort(perm)
+    moved = TriMesh(mesh.vertices[perm], inv[mesh.faces], ambient=mesh.ambient)
+    before, after = cel.estimate_curvatures(mesh), cel.estimate_curvatures(moved)
+    for k in ("k1", "k2"):
+        old, new = getattr(before, k)[perm], getattr(after, k)
+        assert np.abs(new - old).max() / np.abs(old).max() < 1e-12, k
 
 
 def test_areas_match_closed_forms():

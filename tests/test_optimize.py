@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cel import (ParameterError, ResolutionWarning, estimate_curvatures,
+from cel import (ParameterError, ResolutionWarning, TriMesh, estimate_curvatures,
                  make_shape, mobius_descent, mobius_energy,
                  tube_family_sweep, willmore_descent, willmore_energy,
                  willmore_relative_gradient)
+from cel.curvature import _stencils
 from cel.energies import _far_pole, _cross_energy_sum
 from cel.fixtures import perturb_link, perturb_mesh
 from cel.optimize import (_LocalEnergyModel, mobius_gradient,
@@ -83,6 +84,41 @@ def test_local_terms_sum_to_the_energy(kind):
         mesh.vertices, np.arange(mesh.vertex_count))
     want = willmore_energy(mesh, error_estimate=False).value
     assert abs(np.sum(terms) - want) <= 1e-12 * abs(want)
+
+
+def _bipyramid(k):
+    """Closed bipyramid over a k-gon: equator vertices 0..k-1, apexes k and
+    k+1. The apexes share all k equator vertices as neighbors."""
+    t = 2.0 * np.pi * np.arange(k) / k
+    verts = np.vstack([np.stack([np.cos(t), np.sin(t), np.zeros(k)], axis=1),
+                       [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    e, e1 = np.arange(k), (np.arange(k) + 1) % k
+    faces = np.vstack([np.stack([e, e1, np.full(k, k)], axis=1),
+                       np.stack([e1, e, np.full(k, k + 1)], axis=1)])
+    return TriMesh(verts, faces, ambient="R3")
+
+
+def test_two_ring_counts_do_not_wrap():
+    # 256 shared neighbors must not count as zero paths between the apexes
+    mesh = _bipyramid(256)
+    mesh.validate()
+    ring, counts = _stencils(mesh)[:2]
+    nbrs = [set() for _ in range(mesh.vertex_count)]
+    for a, b in mesh.edges():
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for v in range(mesh.vertex_count):
+        expect = set().union(nbrs[v], *(nbrs[w] for w in nbrs[v])) - {v}
+        assert sorted(expect) == ring[v, :counts[v]].tolist(), v
+    assert len(expect) == 257
+
+
+def test_conflict_classes_have_disjoint_stencils_at_high_valence():
+    model = _LocalEnergyModel(_bipyramid(254))
+    for members in model.classes:
+        reach = np.concatenate([np.r_[v, model.ring[v, :model.counts[v]]]
+                                for v in members])
+        assert len(np.unique(reach)) == len(reach)
 
 
 def test_mobius_gradient_matches_brute_force():
