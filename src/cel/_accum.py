@@ -14,12 +14,6 @@ def stable_sum(values):
     return math.fsum(arr.tolist())
 
 
-def stable_dot(a, b):
-    """Exactly rounded sum of an elementwise product."""
-    prod = np.multiply(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    return stable_sum(prod)
-
-
 def unit_directions(count, dim, seed, antipodal=False):
     """Draw `count` unit vectors in R^dim from a fixed-seed generator.
 

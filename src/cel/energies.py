@@ -6,12 +6,19 @@ midpoint-rule double sum; no singularity handling is needed because the
 components are disjoint. Every reduction goes through compensated summation
 so the reported values do not depend on evaluation order.
 
+The link sums run in one tiled pass over midpoint pairs (mesh._pair_tiles):
+each tile of about 2^16 pairs is reduced as it is made and its integrand
+streamed into one math.fsum, so peak memory is one tile, not n^2 pairs, and
+the values equal those of the full broadcast bit for bit.
+
 Error estimates are Richardson style: the same quantity is recomputed at
 half resolution and the gap, scaled for a second-order method, becomes the
 relative `error` field of the report. Meshes that lack a generator recipe
 cannot be rebuilt coarser and report `error = None`.
 """
 
+import itertools
+import math
 import warnings
 from typing import NamedTuple, Optional
 
@@ -20,7 +27,7 @@ import numpy as np
 from ._accum import stable_sum
 from .curvature import estimate_curvatures
 from .errors import InputError, ParameterError, ResolutionError, ResolutionWarning
-from .mesh import TriMesh, _segments
+from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
 from .shapes import RESOLUTION_FLOOR, _grid_torus_faces, make_shape
 
@@ -93,14 +100,22 @@ def willmore_energy(mesh, field=None, error_estimate=True):
 # ---------------------------------------------------------------------------
 
 
-def _cross_energy_sum(g1, g2):
+def _cross_energy_sum(g1, g2, ratios=None):
+    """Midpoint-rule sum of |v1||v2| / |m1 - m2|^2 over segment pairs. A
+    list passed as `ratios` gets each tile's least midpoint distance over
+    the longer of the two segment lengths."""
     m1, v1 = _segments(g1)
     m2, v2 = _segments(g2)
     len1 = np.linalg.norm(v1, axis=1)
     len2 = np.linalg.norm(v2, axis=1)
-    d2 = np.sum((m1[:, None, :] - m2[None, :, :]) ** 2, axis=2)
-    integrand = (len1[:, None] * len2[None, :]) / d2
-    return stable_sum(integrand)
+
+    def tiles():
+        for rows, _, d2 in _pair_tiles(m1, m2):
+            if ratios is not None:
+                ratios.append(float((np.sqrt(d2) / np.maximum(len1[rows, None], len2)).min()))
+            yield ((len1[rows, None] * len2) / d2).ravel().tolist()
+
+    return math.fsum(itertools.chain.from_iterable(tiles()))
 
 
 def mobius_energy(link):
@@ -112,17 +127,11 @@ def mobius_energy(link):
     long segment far from the other curve does not trip it). The error
     estimate reruns the sum on curves subsampled to every other vertex.
     """
-    m1, v1 = _segments(link.gamma1)
-    m2, v2 = _segments(link.gamma2)
-    len1 = np.linalg.norm(v1, axis=1)
-    len2 = np.linalg.norm(v2, axis=1)
-    dist = np.sqrt(np.sum((m1[:, None, :] - m2[None, :, :]) ** 2, axis=2))
-    ratio = dist / np.maximum(len1[:, None], len2[None, :])
-    if ratio.min() < 10.0:
+    ratios = []
+    value = _cross_energy_sum(link.gamma1, link.gamma2, ratios)
+    if min(ratios) < 10.0:
         warnings.warn("link components pass within 10 segment lengths; "
                       "increase the curve resolution", ResolutionWarning)
-
-    value = _cross_energy_sum(link.gamma1, link.gamma2)
     coarse = _cross_energy_sum(link.gamma1[::2], link.gamma2[::2])
     error = abs(value - coarse) / (3.0 * max(abs(value), 1e-30))
     return EnergyReport(value=value,
@@ -143,12 +152,10 @@ def linking_number(link):
 
     m1, v1 = _segments(link.gamma1)
     m2, v2 = _segments(link.gamma2)
-    diff = m1[:, None, :] - m2[None, :, :]
-    dist3 = np.sum(diff**2, axis=2) ** 1.5
-    # det(v1, v2, diff) row-wise via the scalar triple product
-    cross = np.cross(v1[:, None, :], v2[None, :, :])
-    det = np.sum(cross * diff, axis=2)
-    raw = stable_sum(det / dist3) / (4.0 * np.pi)
+    # det(v1, v2, diff) pairwise via the scalar triple product
+    raw = math.fsum(itertools.chain.from_iterable(
+        (np.sum(np.cross(v1[rows, None, :], v2) * diff, axis=2) / d2 ** 1.5).ravel().tolist()
+        for rows, diff, d2 in _pair_tiles(m1, m2))) / (4.0 * np.pi)
     value = int(round(raw))
     residual = abs(raw - value)
     if residual > 0.1:
@@ -158,25 +165,15 @@ def linking_number(link):
     return LinkingReport(value=value, residual=residual)
 
 
-_POLE_CANDIDATES = None
+_POLE_CANDIDATES = np.array(
+    [[s if j == i else 0.0 for j in range(4)] for i in range(4) for s in (1.0, -1.0)]
+    + [[c / 2.0 for c in signs] for signs in itertools.product((1.0, -1.0), repeat=4)])
 
 
 def _far_pole(link):
     """Deterministic projection pole for an R^4 link: the candidate unit
     vector (signed axes, then normalized sign patterns) farthest from both
     components."""
-    global _POLE_CANDIDATES
-    if _POLE_CANDIDATES is None:
-        axes = []
-        for i in range(4):
-            for s in (1.0, -1.0):
-                e = np.zeros(4)
-                e[i] = s
-                axes.append(e)
-        diags = [np.array([a, b, c, d]) / 2.0
-                 for a in (1.0, -1.0) for b in (1.0, -1.0)
-                 for c in (1.0, -1.0) for d in (1.0, -1.0)]
-        _POLE_CANDIDATES = np.array(axes + diags)
     pts = np.vstack([link.gamma1, link.gamma2])
     d = np.linalg.norm(pts[None, :, :] - _POLE_CANDIDATES[:, None, :], axis=2)
     best = int(np.argmax(d.min(axis=1)))

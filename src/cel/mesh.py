@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from ._accum import stable_sum
 from .errors import FormatError, InputError, MeshQualityError, ParameterError
 
 AMBIENTS = ("R3", "S3")
@@ -84,8 +85,6 @@ class TriMesh:
         return 0.5 * np.sqrt(np.maximum(g, 0.0))
 
     def area(self):
-        from ._accum import stable_sum
-
         return stable_sum(self.face_areas())
 
     def edge_lengths(self):
@@ -107,9 +106,10 @@ class TriMesh:
         """Full structural check. Raises MeshQualityError on failure."""
         if self.face_count == 0:
             raise MeshQualityError("mesh has no faces")
+        # each directed edge keyed by one integer, a * V + b, as in edges()
         directed = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        uniq = np.unique(directed, axis=0)
-        if len(uniq) != len(directed):
+        keys = directed[:, 0] * self.vertex_count + directed[:, 1]
+        if len(np.unique(keys)) != len(keys):
             raise MeshQualityError("face windings are not consistent")
         if np.any(self.face_areas() <= 0.0):
             raise MeshQualityError("mesh contains degenerate faces")
@@ -143,13 +143,32 @@ def euler_genus(mesh):
     return genus
 
 
-_TILE_PAIRS = 1 << 16    # point pairs per tile of PolyLink.min_distance
+_TILE_PAIRS = 1 << 16    # point pairs per tile of _pair_tiles
 
 
 def _segments(g):
     """Midpoints and vectors of the segments i -> i+1 of a closed polyline."""
     nxt = np.roll(g, -1, axis=0)
     return 0.5 * (g + nxt), nxt - g
+
+
+def _pair_tiles(p, q):
+    """Row tiles (rows, diff, d2) of the differences p[i] - q[j] and their
+    squared norms, about _TILE_PAIRS pairs each. A row of p may hold several
+    points, shape (n, ..., d), and is never split. Entries equal those of
+    the full broadcast, so exact (min, fsum) and per-row reductions do not
+    depend on the tiling, and memory is one tile instead of n * m pairs."""
+    per_row = len(q) * (p[0].size // p.shape[-1])
+    step = max(1, _TILE_PAIRS // per_row)
+    for start in range(0, len(p), step):
+        rows = slice(start, start + step)
+        diff = p[rows, ..., None, :] - q
+        yield rows, diff, np.sum(diff ** 2, axis=-1)
+
+
+def _min_gap(p, q):
+    """Smallest distance between a point of p and a point of q."""
+    return float(np.sqrt(min(float(d2.min()) for _, _, d2 in _pair_tiles(p, q))))
 
 
 @dataclass
@@ -185,14 +204,8 @@ class PolyLink:
         Vertices and segment midpoints are compared; this is a sampling
         bound, not an exact curve distance, and is documented as such.
         """
-        p1 = np.vstack([self.gamma1, self.segments(1)[0]])
-        p2 = np.vstack([self.gamma2, self.segments(2)[0]])
-        # row tiles keep memory linear in the curve lengths; the minimum is
-        # taken element by element, so tiling does not change the value
-        step = max(1, _TILE_PAIRS // len(p2))
-        d2 = min(float(np.sum((p1[i:i + step, None, :] - p2[None, :, :]) ** 2, axis=2).min())
-                 for i in range(0, len(p1), step))
-        return float(np.sqrt(d2))
+        return _min_gap(np.vstack([self.gamma1, self.segments(1)[0]]),
+                        np.vstack([self.gamma2, self.segments(2)[0]]))
 
     def diameter(self):
         pts = np.vstack([self.gamma1, self.gamma2])

@@ -36,7 +36,7 @@ from .curvature import (_chart, _fan_sums, _quadric_fit, _ring_coords,
                         _s3_tangent_basis, _stencils)
 from .energies import _cross_energy_sum, _resample_closed, willmore_energy
 from .errors import InputError, MeshQualityError, ParameterError
-from .mesh import PolyLink, _segments
+from .mesh import PolyLink, _min_gap, _pair_tiles, _segments
 from .shapes import tube_torus
 
 
@@ -243,37 +243,35 @@ def mobius_gradient(link):
 
     Moving one vertex only changes the two quadrature rows of its adjacent
     segments, so each difference recomputes two rows rather than the whole
-    double sum. Returns (grad1, grad2) matching gamma1 and gamma2.
+    double sum. Per axis and sign all vertices are displaced at once, each
+    with its own two segments, in vertex tiles of the pair kernel; each
+    vertex sums its (2, other curve) block alone, in the same order as a
+    one-vertex difference. Returns (grad1, grad2) matching gamma1 and gamma2.
     """
     if link.dim != 3:
         raise InputError("descent runs on links in R^3; project first")
     h = 1e-6 * link.diameter()
-
-    def row_sums(ga, mb, lb, k):
-        """Quadrature mass of the two segments of `ga` meeting vertex k,
-        against all segments (midpoints mb, lengths lb) of the other curve."""
-        n = len(ga)
-        segs = np.array([(k - 1) % n, k])
-        a = ga[segs]
-        b = ga[(segs + 1) % n]
-        mid = 0.5 * (a + b)
-        ln = np.linalg.norm(b - a, axis=1)
-        d2 = np.sum((mid[:, None, :] - mb[None, :, :]) ** 2, axis=2)
-        return float(np.sum((ln[:, None] * lb[None, :]) / d2))
 
     grads = []
     for ga, gb in ((link.gamma1, link.gamma2), (link.gamma2, link.gamma1)):
         g = np.zeros_like(ga)
         mb, vb = _segments(gb)
         lb = np.linalg.norm(vb, axis=1)
-        for k in range(len(ga)):
-            for axis in range(3):
-                vals = []
-                for sign in (1.0, -1.0):
-                    pert = ga.copy()
-                    pert[k, axis] += sign * h
-                    vals.append(row_sums(pert, mb, lb, k))
-                g[k, axis] = (vals[0] - vals[1]) / (2.0 * h)
+        for axis in range(3):
+            vals = []
+            for sign in (1.0, -1.0):
+                moved = ga.copy()
+                moved[:, axis] += sign * h
+                # per vertex k: segment k-1 ends at the displaced vertex,
+                # segment k starts there; both other ends stay put
+                ends = np.stack([np.roll(ga, 1, axis=0), moved,
+                                 np.roll(ga, -1, axis=0)], axis=1)
+                mid = 0.5 * (ends[:, :2] + ends[:, 1:])
+                ln = np.linalg.norm(ends[:, 1:] - ends[:, :2], axis=2)
+                vals.append(np.concatenate([
+                    ((ln[rows, :, None] * lb) / d2).reshape(len(d2), -1).sum(axis=1)
+                    for rows, _, d2 in _pair_tiles(mid, mb)]))
+            g[:, axis] = (vals[0] - vals[1]) / (2.0 * h)
         grads.append(g)
     return grads[0], grads[1]
 
@@ -305,18 +303,14 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
     g2 = link.gamma2.copy()
     n1, n2 = len(g1), len(g2)
 
-    def min_gap(a, b):
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(d2.min()))
-
     energies = [_cross_energy_sum(g1, g2)]
     gnorms = []
     status = "max_steps"
     accepted = 0
     for _ in range(steps):
-        diameter = float(np.linalg.norm(
-            np.vstack([g1, g2]).max(axis=0) - np.vstack([g1, g2]).min(axis=0)))
-        if min_gap(g1, g2) < collision_tol * diameter:
+        stacked = np.vstack([g1, g2])
+        diameter = float(np.linalg.norm(stacked.max(axis=0) - stacked.min(axis=0)))
+        if _min_gap(g1, g2) < collision_tol * diameter:
             status = "collision"
             break
         probe = PolyLink(g1, g2)
@@ -326,7 +320,6 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
         if gn * diameter / max(abs(energies[-1]), 1e-30) < grad_tol:
             status = "stationary"
             break
-        stacked = np.vstack([g1, g2])
         gstack = np.vstack([d1, d2])
         alpha0 = move_scale * diameter / max(np.linalg.norm(gstack, axis=1).max(),
                                              1e-30)

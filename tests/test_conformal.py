@@ -5,8 +5,10 @@ import pytest
 
 from cel import (ConformalDilation, InputError, InversionR4, ParameterError,
                  apply_dilation, apply_inversion, dilate_link, dilate_mesh,
-                 g_family, make_shape, mobius_energy, radial_limit_check,
-                 willmore_energy)
+                 g_family, hopf_link, linking_number, make_shape,
+                 mobius_energy, perturb_link, project_link,
+                 radial_limit_check, willmore_energy)
+from cel.energies import _far_pole
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
@@ -44,6 +46,22 @@ def test_energy_drift_under_dilation(clifford32):
     moved = willmore_energy(dilate_mesh(clifford32, v),
                             error_estimate=False).value
     assert abs(moved - base) / base < 0.02
+
+
+@pytest.mark.parametrize("strength", [0.1, 0.3, 0.5])
+def test_link_oracles_are_dilation_invariant(strength):
+    # the cross energy is conformally invariant and a dilation is isotopic
+    # to the identity; projecting every image from one pole keeps the
+    # chart's orientation, so the signed linking number must not move
+    link = perturb_link(hopf_link(256), 0.05, seed=1)
+    pole = _far_pole(link)
+    base = mobius_energy(link).value
+    lk = linking_number(project_link(link, pole)).value
+    for d in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+              [0.5, 0.5, 0.5, 0.5], [0.0, 0.6, 0.0, 0.8]):
+        moved = dilate_link(link, strength * np.array(d))
+        assert abs(mobius_energy(moved).value - base) <= 1e-6 * base
+        assert linking_number(project_link(moved, pole)).value == lk
 
 
 def test_dilated_link_stays_on_sphere(hopf128):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cel
-from cel import (FormatError, InputError, NearPoleError, ParameterError,
-                 PolyLink, TriMesh, euler_genus, load_link, load_obj,
-                 make_shape, save_link, save_obj)
+from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
+                 ParameterError, PolyLink, TriMesh, euler_genus, load_link,
+                 load_obj, make_shape, save_link, save_obj)
 from cel.energies import gauss_map_torus
 from cel.fixtures import genus2_surface
 from cel.projection import stereographic, stereographic_inverse
@@ -33,6 +33,14 @@ def test_euler_genus():
     g2 = genus2_surface(resolution=16)
     g2.validate()
     assert euler_genus(g2) == 2
+
+
+def test_validate_rejects_one_reversed_face():
+    mesh = make_shape("sphere", resolution=8)
+    faces = mesh.faces.copy()
+    faces[5] = faces[5, ::-1]
+    with pytest.raises(MeshQualityError, match="face windings are not consistent"):
+        TriMesh(mesh.vertices, faces).validate()
 
 
 def test_euler_genus_rejects_disjoint_spheres():
