@@ -29,7 +29,7 @@ from .curvature import estimate_curvatures
 from .errors import InputError, ParameterError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
-from .shapes import RESOLUTION_FLOOR, _grid_torus_faces, make_shape
+from .shapes import RESOLUTION_FLOOR, _grid_torus_faces, _orthobasis, make_shape
 
 
 class EnergyReport(NamedTuple):
@@ -185,9 +185,21 @@ def _far_pole(link):
 
 def _linking_bound(link, report):
     """Linking number of `link` and the 4 pi |lk| bound on its cross energy,
-    whose mobius_energy report is given. Links in R^4 are projected first."""
-    flat = project_link(link, _far_pole(link)) if link.dim == 4 else link
-    lk = linking_number(flat)
+    whose mobius_energy report is given.
+
+    Links in R^4 are projected first. The chart maps the antipode of the
+    pole to the origin with differential along _orthobasis(pole), so it
+    keeps the orientation of S^3 (outward normal first) exactly when
+    det[-pole; basis] > 0; the projected linking number is multiplied by
+    that sign so the reported value does not depend on the pole.
+    """
+    if link.dim == 4:
+        pole = _far_pole(link)
+        lk = linking_number(project_link(link, pole))
+        if np.linalg.det(np.vstack([pole, _orthobasis(pole)])) > 0.0:
+            lk = lk._replace(value=-lk.value)
+    else:
+        lk = linking_number(link)
     bound = 4.0 * np.pi * abs(lk.value)
     margin = report.value - bound
     allowance = report.error * report.value if report.error is not None else 0.0

@@ -23,6 +23,7 @@ from ._accum import unit_directions
 from .errors import (GeometryError, InputError, InsufficientDataError,
                      MeshQualityError, ParameterError)
 from .laplace import laplace_eigs
+from .mesh import _TILE_PAIRS
 
 
 @dataclass
@@ -62,31 +63,64 @@ class FamilySupReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _crossing_data(faces, values, level):
-    """Per cut face, the two crossed edge slots.
+# the first and last crossed edge slot of a face, by its corner code
+# above[c0] + 2 above[c1] + 4 above[c2]; slot s is the edge from corner s to
+# corner s+1 mod 3, crossed when its two corners fall on opposite sides
+_CORNERS = (np.arange(8)[:, None] >> np.arange(3)) & 1
+_CROSSED = _CORNERS != np.roll(_CORNERS, -1, axis=1)
+_FIRST_SLOT = _CROSSED.argmax(axis=1)
+_LAST_SLOT = 2 - _CROSSED[:, ::-1].argmax(axis=1)
+
+
+def _cut_faces(faces, fields, level):
+    """Every face that the level set of a field in a (B, V) block cuts.
 
     A vertex with value exactly at the level counts as above, which keeps
-    the above/below partition binary with no special cases. Returns the cut
-    faces and the first and last crossed slot index per face (slot s is the
-    edge from corner s to corner s+1 mod 3).
+    the above/below partition binary with no special cases. Returns the
+    field and face index of each cut, ordered by field and then by face,
+    with its first and last crossed slot.
     """
-    above = values >= level
-    fa = above[faces]
-    n_above = fa.sum(axis=1)
-    cut = (n_above == 1) | (n_above == 2)
-    cf = faces[cut]
-    cfa = fa[cut]
-    crossed = cfa != np.roll(cfa, -1, axis=1)
-    first = crossed.argmax(axis=1)
-    last = 2 - crossed[:, ::-1].argmax(axis=1)
-    return cf, first, last
+    above = (fields >= level).view(np.uint8)
+    code = (above[:, faces[:, 0]] | above[:, faces[:, 1]] << 1
+            | above[:, faces[:, 2]] << 2)
+    cut = np.flatnonzero((code != 0) & (code != 7))
+    field, face = np.divmod(cut, len(faces))
+    code = code.ravel()[cut]
+    return field, face, _FIRST_SLOT[code], _LAST_SLOT[code]
 
 
-def _crossing_points(verts, values, level, i, j):
-    ti = values[i]
-    tj = values[j]
+def _crossings(verts, fields, level, field, i, j):
+    """Points where field row `field` crosses the level on edges (i, j)."""
+    ti = fields[field, i]
+    tj = fields[field, j]
     t = (level - ti) / (tj - ti)
-    return verts[i] + t[:, None] * (verts[j] - verts[i])
+    vi = verts[i]
+    return vi + t[:, None] * (verts[j] - vi)
+
+
+def _level_set_lengths(mesh, fields, level):
+    """Level-set length of each field in a (B, V) block, as a list.
+
+    Each cut triangle contributes the straight segment between its two edge
+    crossings, and each field's segments are summed on their own, so a
+    length does not depend on the block it was computed in.
+    """
+    faces = mesh.faces
+    field, face, first, last = _cut_faces(faces, fields, level)
+    a = _crossings(mesh.vertices, fields, level, field,
+                   faces[face, first], faces[face, (first + 1) % 3])
+    b = _crossings(mesh.vertices, fields, level, field,
+                   faces[face, last], faces[face, (last + 1) % 3])
+    seg = np.linalg.norm(a - b, axis=1)
+    ends = np.searchsorted(field, np.arange(1, len(fields)))
+    return [float(part.sum()) for part in np.split(seg, ends)]
+
+
+def _one_field(mesh, values):
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (mesh.vertex_count,):
+        raise InputError("field length does not match the vertex count")
+    return values[None, :]
 
 
 def level_set_length(mesh, values, level=0.0):
@@ -96,18 +130,7 @@ def level_set_length(mesh, values, level=0.0):
     crossings; no loop assembly happens, which makes this the cheap path for
     supremum sampling. An empty level set has length zero.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (mesh.vertex_count,):
-        raise InputError("field length does not match the vertex count")
-    cf, first, last = _crossing_data(mesh.faces, values, level)
-    if len(cf) == 0:
-        return 0.0
-    rows = np.arange(len(cf))
-    a = _crossing_points(mesh.vertices, values, level,
-                         cf[rows, first], cf[rows, (first + 1) % 3])
-    b = _crossing_points(mesh.vertices, values, level,
-                         cf[rows, last], cf[rows, (last + 1) % 3])
-    return float(np.linalg.norm(a - b, axis=1).sum())
+    return _level_set_lengths(mesh, _one_field(mesh, values), level)[0]
 
 
 def sublevel_boundary(mesh, values, level=0.0):
@@ -117,40 +140,32 @@ def sublevel_boundary(mesh, values, level=0.0):
     meeting there, so on a closed mesh every crossing has exactly two
     segment neighbors and the segments chain into disjoint closed loops.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (mesh.vertex_count,):
-        raise InputError("field length does not match the vertex count")
-    cf, first, last = _crossing_data(mesh.faces, values, level)
-    if len(cf) == 0:
+    fields = _one_field(mesh, values)
+    field, face, first, last = _cut_faces(mesh.faces, fields, level)
+    if len(face) == 0:
         return CycleSet(loops=[], total_length=0.0)
 
-    rows = np.arange(len(cf))
     v = mesh.vertex_count
 
     def edge_key(slot):
-        i = cf[rows, slot]
-        j = cf[rows, (slot + 1) % 3]
+        i = mesh.faces[face, slot]
+        j = mesh.faces[face, (slot + 1) % 3]
         return np.minimum(i, j) * v + np.maximum(i, j)
 
-    ka = edge_key(first)
-    kb = edge_key(last)
-    keys, inverse = np.unique(np.concatenate([ka, kb]), return_inverse=True)
-    na = inverse[: len(cf)]
-    nb = inverse[len(cf):]
-
-    points = _crossing_points(mesh.vertices, values, level,
-                              keys // v, keys % v)
-
-    nbr = np.full((len(keys), 2), -1, dtype=np.int64)
-    slot_used = np.zeros(len(keys), dtype=np.int64)
-    for x, y in zip(na, nb):
-        nbr[x, slot_used[x]] = y
-        nbr[y, slot_used[y]] = x
-        slot_used[x] += 1
-        slot_used[y] += 1
-    if np.any(slot_used != 2):
+    # segment s joins crossings ends[2s] and ends[2s + 1]
+    keys, ends = np.unique(np.stack([edge_key(first), edge_key(last)], axis=1),
+                           return_inverse=True)
+    ends = ends.ravel()
+    if np.any(np.bincount(ends, minlength=len(keys)) != 2):
         raise MeshQualityError("level set does not close up; the mesh is "
                                "not a closed manifold")
+    # a stable sort by crossing keeps each crossing's two segments in
+    # segment order; the neighbor through a segment is its other end
+    order = np.argsort(ends, kind="stable")
+    nbr = ends[order ^ 1].reshape(-1, 2)
+
+    points = _crossings(mesh.vertices, fields, level, np.zeros_like(keys),
+                        keys // v, keys % v)
 
     visited = np.zeros(len(keys), dtype=bool)
     loops = []
@@ -238,9 +253,6 @@ def real_harmonic_basis(points, degree):
 def _require_unit_sphere_mesh(mesh):
     if mesh.ambient != "R3":
         raise InputError("this family lives on a mesh of the unit two-sphere")
-    norms = np.linalg.norm(mesh.vertices, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise InputError("mesh vertices must lie on the unit two-sphere")
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +261,16 @@ def _require_unit_sphere_mesh(mesh):
 
 
 def _sampled_sup(mesh, columns, truncation, samples, seed_key):
-    """Sup of zero-set length over seeded unit coefficient directions."""
+    """Sup of zero-set length over seeded unit coefficient directions, a
+    block of fields per kernel call."""
     dirs = unit_directions(samples, truncation,
                            np.random.SeedSequence(seed_key), antipodal=True)
     best = 0.0
     sub = columns[:, :truncation]
-    for d in dirs:
-        best = max(best, level_set_length(mesh, sub @ d))
+    block = max(1, _TILE_PAIRS // mesh.face_count)
+    for start in range(0, samples, block):
+        fields = np.array([sub @ d for d in dirs[start:start + block]])
+        best = max(best, *_level_set_lengths(mesh, fields, 0.0))
     return best
 
 
@@ -295,8 +310,6 @@ def harmonic_width_series(mesh, lengths=(4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49
     _require_unit_sphere_mesh(mesh)
     ls = _check_lengths(lengths, limit=10**9)
     degree = math.isqrt(ls[-1] - 1)  # smallest d with (d+1)^2 >= max length
-    while (degree + 1) ** 2 < ls[-1]:
-        degree += 1
     columns = real_harmonic_basis(mesh.vertices, degree)
     return _series(mesh, columns, ls, seed)
 

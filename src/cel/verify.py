@@ -37,10 +37,13 @@ class CheckResult(NamedTuple):
     elapsed: float
 
 
+# resolutions shared by both profiles
+TUBE_RES = 96
+WIDTH_RES = 32
+
 PROFILES = {
     "fast": {
         "closed_res": 96,
-        "tube_res": 96,
         "link_res": 256,
         "perturbed_links": 20,
         "conformal_res": 96,
@@ -50,13 +53,11 @@ PROFILES = {
         "radial_res": 32,
         "index_res": 64,
         "budget_samples": 200,
-        "width_res": 32,
         "descent_steps": 12,
         "mobius_steps": 40,
     },
     "full": {
         "closed_res": 128,
-        "tube_res": 96,
         "link_res": 512,
         "perturbed_links": 40,
         "conformal_res": 128,
@@ -66,7 +67,6 @@ PROFILES = {
         "radial_res": 48,
         "index_res": 96,
         "budget_samples": 400,
-        "width_res": 32,
         "descent_steps": 20,
         "mobius_steps": 60,
     },
@@ -110,7 +110,7 @@ def check_tube_minimum(params):
     """100-point sweep of unit tubes: minimum at sqrt(2) within 0.02 with
     value within 1% of the flat-torus optimum, under 60 seconds."""
     t0 = time.perf_counter()
-    sweep = tube_family_sweep(resolution=params["tube_res"])
+    sweep = tube_family_sweep(resolution=TUBE_RES)
     dt = time.perf_counter() - t0
     loc_err = abs(sweep.min_radius - np.sqrt(2.0))
     val_err = abs(sweep.min_energy - TWO_PI_SQ) / TWO_PI_SQ
@@ -277,7 +277,7 @@ def check_length_budget(params):
     """Sampled zero sets of degree-d polynomials stay within 2% of the
     d-great-circles length budget for d = 1..6."""
     t0 = time.perf_counter()
-    mesh = make_shape("sphere", resolution=params["width_res"])
+    mesh = make_shape("sphere", resolution=WIDTH_RES)
     try:
         reports = length_budget_check(mesh, max_degree=6,
                                       samples=params["budget_samples"], seed=0)
@@ -292,7 +292,7 @@ def check_width_scaling(params):
     """Log-log slope of the harmonic width series against p lands in
     0.5 +- 0.15, under 5 minutes."""
     t0 = time.perf_counter()
-    mesh = make_shape("sphere", resolution=params["width_res"])
+    mesh = make_shape("sphere", resolution=WIDTH_RES)
     series = harmonic_width_series(mesh, seed=0)
     fit = scaling_fit(series)
     dt = time.perf_counter() - t0

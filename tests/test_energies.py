@@ -6,11 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from cel import (InputError, ResolutionWarning, energy_linking_bound_check,
-                 gauss_area_energy_check, gauss_map_torus, linking_number,
-                 make_shape, mobius_energy, willmore_energy)
-from cel.energies import _far_pole
-from cel.fixtures import perturb_link
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cel import (InputError, ResolutionWarning, TriMesh,
+                 energy_linking_bound_check, gauss_area_energy_check,
+                 gauss_map_torus, linking_number, make_shape, mobius_energy,
+                 willmore_energy)
+from cel import energies
+from cel.conformal import dilate_link
+from cel.energies import _POLE_CANDIDATES, _far_pole, _linking_bound
+from cel.fixtures import genus2_surface, perturb_link
 from cel.projection import project_link
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -90,6 +96,36 @@ def test_willmore_closed_forms(sphere16, clifford16):
     assert willmore_energy(tube).value == pytest.approx(TWO_PI_SQ, rel=4e-2)
 
 
+@pytest.mark.parametrize("name", ["sphere", "tube", "ellipsoid", "genus2"])
+def test_bending_energy_is_similarity_invariant(name):
+    # the quadric fit is equivariant under rigid motions and scaling, and
+    # the bending energy is scale free, so only round-off may move it
+    mesh = {"sphere": lambda: make_shape("sphere", resolution=8),
+            "tube": lambda: make_shape("tube_torus", resolution=12),
+            "ellipsoid": lambda: make_shape("ellipsoid", resolution=12,
+                                            a=1.0, b=0.8, c=0.6),
+            "genus2": lambda: genus2_surface(resolution=16)}[name]()
+    base = willmore_energy(mesh, error_estimate=False).value
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+               lambda q: np.linalg.norm(q) > 0.1),
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           st.floats(-3.0, 3.0))
+    def inner(quat, shift, log_scale):
+        w, x, y, z = np.array(quat) / np.linalg.norm(quat)
+        rot = np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+        moved = TriMesh(np.exp(log_scale) * mesh.vertices @ rot.T
+                        + np.array(shift), mesh.faces)
+        got = willmore_energy(moved, error_estimate=False).value
+        assert abs(got - base) <= 1e-12 * base
+
+    inner()
+
+
 def test_geodesic_spheres_share_one_energy():
     # every distance sphere balances area against curvature to 4 pi
     for rho in (np.pi / 6, np.pi / 2):
@@ -124,6 +160,36 @@ def test_bound_margins():
     far = make_shape("coaxial_circles", separation=8.0, resolution=64)
     rep = energy_linking_bound_check(far)
     assert rep.bound == 0.0 and rep.energy > 0.0
+
+
+@pytest.mark.parametrize("resolution,amplitude,seed",
+                         [(64, 0.0, 0), (256, 0.03, 0), (256, 0.1, 3)])
+def test_r4_linking_number_does_not_depend_on_the_pole(resolution, amplitude,
+                                                        seed, monkeypatch):
+    # stereographic charts from different poles can reverse orientation;
+    # the reported value is in S^3's own orientation, so every candidate
+    # pole that clears the link must give the fibration's +1
+    link = make_shape("hopf_link", resolution=resolution)
+    if amplitude:
+        link = perturb_link(link, amplitude, seed=seed)
+    rep = mobius_energy(link)
+    pts = np.vstack([link.gamma1, link.gamma2])
+    clear = [pole for pole in _POLE_CANDIDATES
+             if np.linalg.norm(pts - pole, axis=1).min() >= 1e-3]
+    assert len(clear) >= 16
+    for pole in clear:
+        monkeypatch.setattr(energies, "_far_pole", lambda _, p=pole: p)
+        assert _linking_bound(link, rep)[0].value == 1, pole
+
+
+def test_r4_linking_number_survives_dilations():
+    # a dilation is isotopic to the identity, yet it moves the far pole to
+    # charts of either orientation
+    link = perturb_link(make_shape("hopf_link", resolution=256), 0.1, seed=3)
+    for strength in (0.1, 0.3, 0.5):
+        for axis in np.eye(4):
+            moved = dilate_link(link, strength * axis)
+            assert _linking_bound(moved, mobius_energy(moved))[0].value == 1
 
 
 def test_gauss_map_flatness(hopf128):
