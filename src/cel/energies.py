@@ -9,7 +9,13 @@ so the reported values do not depend on evaluation order.
 The link sums run in one tiled pass over midpoint pairs (mesh._pair_tiles):
 each tile of about 2^16 pairs is reduced as it is made and its integrand
 streamed into one math.fsum, so peak memory is one tile, not n^2 pairs, and
-the values equal those of the full broadcast bit for bit.
+the values equal those of the full broadcast bit for bit. A tile holds one
+contiguous (rows, m) difference array per coordinate, and its squared
+distances add the squared coordinates in the order 0, 1, ..., d - 1, the
+order of np.sum over a coordinate axis. The linking number builds its
+triple product from the cross components in np.cross's own formula and
+sums them left to right, so no np.cross or short-axis sum runs over the
+pairs and no rounding changes.
 
 Error estimates are Richardson style: the same quantity is recomputed at
 half resolution and the gap, scaled for a second-order method, becomes the
@@ -152,10 +158,19 @@ def linking_number(link):
 
     m1, v1 = _segments(link.gamma1)
     m2, v2 = _segments(link.gamma2)
-    # det(v1, v2, diff) pairwise via the scalar triple product
-    raw = math.fsum(itertools.chain.from_iterable(
-        (np.sum(np.cross(v1[rows, None, :], v2) * diff, axis=2) / d2 ** 1.5).ravel().tolist()
-        for rows, diff, d2 in _pair_tiles(m1, m2))) / (4.0 * np.pi)
+    b0, b1, b2 = np.ascontiguousarray(v2.T)
+
+    def tiles():
+        # det(v1, v2, diff) as the triple product (v1 x v2) . diff, with the
+        # cross components and the left-to-right sum of np.cross and np.sum
+        for rows, (x, y, z), d2 in _pair_tiles(m1, m2):
+            a0, a1, a2 = (v1[rows, k, None] for k in range(3))
+            det = (a1 * b2 - a2 * b1) * x
+            det += (a2 * b0 - a0 * b2) * y
+            det += (a0 * b1 - a1 * b0) * z
+            yield (det / d2 ** 1.5).ravel().tolist()
+
+    raw = math.fsum(itertools.chain.from_iterable(tiles())) / (4.0 * np.pi)
     value = int(round(raw))
     residual = abs(raw - value)
     if residual > 0.1:

@@ -53,6 +53,8 @@ class TriMesh:
             raise ParameterError("S3 meshes need 4 coordinates per vertex")
         if self.ambient == "R3" and self.vertices.shape[1] != 3:
             raise ParameterError("R3 meshes need 3 coordinates per vertex")
+        if not np.isfinite(self.vertices).all():
+            raise ParameterError("vertex coordinates must be finite")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ParameterError("face indices out of range")
 
@@ -155,15 +157,25 @@ def _segments(g):
 def _pair_tiles(p, q):
     """Row tiles (rows, diff, d2) of the differences p[i] - q[j] and their
     squared norms, about _TILE_PAIRS pairs each. A row of p may hold several
-    points, shape (n, ..., d), and is never split. Entries equal those of
-    the full broadcast, so exact (min, fsum) and per-row reductions do not
-    depend on the tiling, and memory is one tile instead of n * m pairs."""
+    points, shape (n, ..., d), and is never split.
+
+    `diff` is a list of d contiguous arrays of shape (rows, ..., m), one per
+    coordinate: diff[k] = p[rows, ..., k, None] - q.T[k]. `d2` adds the
+    squared coordinates in the order 0, 1, ..., d - 1, the order in which
+    np.sum(..., axis=-1) reduces a short last axis. Entries therefore equal
+    those of the full interleaved broadcast bit for bit, so exact (min,
+    fsum) and per-row reductions do not depend on the tiling, and memory is
+    one tile instead of n * m pairs."""
+    qt = np.ascontiguousarray(q.T)
     per_row = len(q) * (p[0].size // p.shape[-1])
     step = max(1, _TILE_PAIRS // per_row)
     for start in range(0, len(p), step):
         rows = slice(start, start + step)
-        diff = p[rows, ..., None, :] - q
-        yield rows, diff, np.sum(diff ** 2, axis=-1)
+        diff = [p[rows, ..., k, None] - qt[k] for k in range(p.shape[-1])]
+        d2 = diff[0] * diff[0]
+        for dk in diff[1:]:
+            d2 += dk * dk
+        yield rows, diff, d2
 
 
 def _min_gap(p, q):
@@ -186,6 +198,8 @@ class PolyLink:
                 raise ParameterError("curves must be (n, 3) or (n, 4)")
             if len(g) < 3:
                 raise ParameterError("closed polylines need at least 3 vertices")
+            if not np.isfinite(g).all():
+                raise ParameterError("curve coordinates must be finite")
         if self.gamma1.shape[1] != self.gamma2.shape[1]:
             raise ParameterError("curves must share an ambient dimension")
         if self.min_distance() <= 0.0:

@@ -163,3 +163,30 @@ def test_bad_param_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.obj")
     assert main(["generate", "sphere", "--param", "radius=abc",
                  "-o", out]) == 2
+
+
+def test_non_finite_link_exits_2(tmp_path, capsys):
+    link = str(tmp_path / "link.json")
+    main(["generate", "hopf_link", "--resolution", "32", "-o", link])
+    with open(link) as fh:
+        payload = json.load(fh)
+    payload["gamma1"][3][1] = float("nan")
+    with open(link, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["link-energy", link]) == 2
+    assert "error: bad link arrays: curve coordinates must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_mesh_exits_2(tmp_path, capsys):
+    mesh = str(tmp_path / "s.obj")
+    main(["generate", "sphere", "--resolution", "8", "-o", mesh])
+    with open(mesh) as fh:
+        lines = fh.read().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    lines[first] = "v inf 0 0"
+    with open(mesh, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["energy", mesh]) == 2
+    assert "error: vertex coordinates must be finite" in capsys.readouterr().err

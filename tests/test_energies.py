@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cel import (InputError, ResolutionWarning, TriMesh,
+from cel import (InputError, PolyLink, ResolutionWarning, TriMesh,
                  energy_linking_bound_check, gauss_area_energy_check,
                  gauss_map_torus, linking_number, make_shape, mobius_energy,
                  willmore_energy)
 from cel import energies
 from cel.conformal import dilate_link
 from cel.energies import _POLE_CANDIDATES, _far_pole, _linking_bound
+from cel._accum import stable_sum
 from cel.fixtures import genus2_surface, perturb_link
+from cel.mesh import _segments
 from cel.projection import project_link
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -77,6 +79,26 @@ def test_linking_survives_perturbation():
         pert = perturb_link(base, 0.05, seed=seed)
         assert linking_number(pert).value == 1
         assert crossing_count_linking(pert) == 1
+
+
+def test_unlinked_residual_equals_the_np_cross_sum():
+    # With lk = 0 the raw integral is small, so its last bits show a change
+    # in the rounding of any single pair's triple product; on a linked pair
+    # the residual is a difference from +-1 and hides it.
+    rng = np.random.default_rng(3)
+    a = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False)
+    b = np.linspace(0.0, 2.0 * np.pi, 700, endpoint=False)
+    g1 = np.stack([np.cos(a), np.sin(a), 0.0 * a], axis=1)
+    g2 = np.stack([3.0 + np.cos(b), 0.0 * b, np.sin(b)], axis=1)
+    for _ in range(3):
+        link = PolyLink(g1 + 0.05 * rng.normal(size=g1.shape),
+                        g2 + 0.05 * rng.normal(size=g2.shape))
+        m1, v1 = _segments(link.gamma1)
+        m2, v2 = _segments(link.gamma2)
+        diff = m1[:, None, :] - m2[None, :, :]
+        det = np.sum(np.cross(v1[:, None, :], v2[None, :, :]) * diff, axis=2)
+        raw = stable_sum(det / np.sum(diff ** 2, axis=2) ** 1.5) / (4.0 * np.pi)
+        assert linking_number(link) == (0, abs(raw))
 
 
 def test_linking_number_needs_r3():

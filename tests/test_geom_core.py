@@ -12,6 +12,7 @@ from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
                  load_obj, make_shape, save_link, save_obj)
 from cel.energies import gauss_map_torus
 from cel.fixtures import genus2_surface
+from cel.mesh import _pair_tiles
 from cel.projection import stereographic, stereographic_inverse
 from cel.shapes import _grid_torus_faces
 
@@ -153,12 +154,54 @@ def test_link_rejects_contact():
 
 def test_min_distance_matches_brute_force():
     rng = np.random.default_rng(5)
-    link = cel.PolyLink(rng.normal(size=(300, 3)),
-                        rng.normal(size=(700, 3)) + 4.0)
-    p1 = np.vstack([link.gamma1, link.segments(1)[0]])
-    p2 = np.vstack([link.gamma2, link.segments(2)[0]])
-    brute = np.sqrt(np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2).min())
-    assert link.min_distance() == brute
+    for dim in (3, 4):
+        link = cel.PolyLink(rng.normal(size=(300, dim)),
+                            rng.normal(size=(700, dim)) + 4.0)
+        p1 = np.vstack([link.gamma1, link.segments(1)[0]])
+        p2 = np.vstack([link.gamma2, link.segments(2)[0]])
+        brute = np.sqrt(np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2).min())
+        assert link.min_distance() == brute
+
+
+@pytest.mark.parametrize("p_shape, m", [
+    ((300, 3), 700),       # R^3 points: 93-row tiles
+    ((300, 4), 700),       # R^4 points
+    ((400, 2, 3), 700),    # mobius_gradient's two segments per row: 46-row tiles
+])
+def test_pair_tiles_match_the_interleaved_broadcast(p_shape, m):
+    rng = np.random.default_rng(11)
+    p = rng.normal(size=p_shape)
+    q = rng.normal(size=(m, p_shape[-1]))
+    full = p[:, ..., None, :] - q
+    covered = 0
+    for rows, diff, d2 in _pair_tiles(p, q):
+        assert rows.start == covered
+        assert len(diff) == p_shape[-1]
+        assert all(dk.flags.c_contiguous for dk in diff)
+        assert np.array_equal(np.stack(diff, axis=-1), full[rows])
+        assert np.array_equal(d2, np.sum(full[rows] ** 2, axis=-1))
+        covered += len(d2)
+    assert covered == len(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_link_rejects_non_finite_coordinates(bad):
+    t = 2.0 * np.pi * np.arange(32) / 32
+    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    other = circle[:, [1, 2, 0]] + [1.0, 0.0, 0.0]
+    circle[5, 1] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        PolyLink(circle, other)
+    with pytest.raises(ParameterError, match="finite"):
+        PolyLink(other, circle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_vertices(bad, sphere16):
+    verts = sphere16.vertices.copy()
+    verts[7, 2] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        TriMesh(verts, sphere16.faces)
 
 
 def test_obj_round_trip(tmp_path, clifford16):
