@@ -42,15 +42,6 @@ def _json(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _load_any(path):
-    """Mesh or link by extension."""
-    if path.endswith(".obj"):
-        return load_obj(path)
-    if path.endswith(".json"):
-        return load_link(path)
-    raise FormatError(f"cannot tell mesh from link by extension: {path!r}")
-
-
 def _parse_params(pairs):
     params = {}
     for pair in pairs or []:
@@ -89,7 +80,7 @@ def cmd_energy(args):
 
 
 def cmd_link_energy(args):
-    link = _load_any(args.link)
+    link = load_link(args.link)
     rep = mobius_energy(link)
     lk, bound = _linking_bound(link, rep)
     _emit(_json({"energy": rep.value, "relative_error": rep.error,
@@ -169,14 +160,14 @@ def cmd_index(args):
 
 
 def cmd_optimize(args):
-    obj = _load_any(args.input)
     if args.kind == "willmore":
-        final, trace = willmore_descent(obj, steps=args.steps,
+        final, trace = willmore_descent(load_obj(args.input), steps=args.steps,
                                         move_scale=args.move_scale)
         if args.save:
             save_obj(final, args.save)
     else:
-        if getattr(obj, "dim", 3) == 4:
+        obj = load_link(args.input)
+        if obj.dim == 4:
             obj = project_link(obj, _far_pole(obj))
             print("projected the link to R^3 before descent", file=sys.stderr)
         final, trace = mobius_descent(obj, steps=args.steps,

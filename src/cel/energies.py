@@ -35,7 +35,8 @@ from .curvature import estimate_curvatures
 from .errors import InputError, ParameterError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
-from .shapes import RESOLUTION_FLOOR, _grid_torus_faces, _orthobasis, make_shape
+from .shapes import (RESOLUTION_FLOOR, _check_resolution, _grid_torus_faces,
+                     _orthobasis, make_shape)
 
 
 class EnergyReport(NamedTuple):
@@ -263,10 +264,9 @@ def gauss_map_torus(link, resolution=None):
         raise InputError("gauss_map_torus needs a link in R^4")
     g1, g2 = link.gamma1, link.gamma2
     if resolution is not None:
-        if resolution < RESOLUTION_FLOOR:
-            raise ResolutionError(f"resolution must be >= {RESOLUTION_FLOOR}")
-        g1 = _resample_closed(g1, int(resolution))
-        g2 = _resample_closed(g2, int(resolution))
+        resolution = _check_resolution(resolution)
+        g1 = _resample_closed(g1, resolution)
+        g2 = _resample_closed(g2, resolution)
     diff = g1[:, None, :] - g2[None, :, :]
     norms = np.linalg.norm(diff, axis=2)
     if norms.min() < 1e-12:

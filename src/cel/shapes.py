@@ -8,6 +8,7 @@ Generated meshes carry a `recipe` so half-resolution companions can be built
 for error estimates.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -58,38 +59,36 @@ def _icosahedron():
 
 
 def _icosphere(freq):
-    """Unit sphere from a frequency-`freq` subdivision of the icosahedron."""
+    """Unit sphere from a frequency-`freq` subdivision of the icosahedron.
+
+    Point (i, j) of base face (t0, t1, t2) weighs its corners (freq - i - j,
+    i, j). Shared points merge on one integer key, their sorted positive
+    (corner, weight) pairs, and are numbered and placed by first occurrence
+    in (face, i, j) order. Faces go per base face and cell, up triangle then
+    down, which keeps the icosahedron's outward winding."""
     base_v, base_f = _icosahedron()
-    key_to_index = {}
-    verts = []
-    faces = []
-
-    def corner_key(ids, weights):
-        items = tuple(sorted((int(i), int(w)) for i, w in zip(ids, weights) if w > 0))
-        return items
-
-    for tri in base_f:
-        grid = {}
-        for i in range(freq + 1):
-            for j in range(freq + 1 - i):
-                w = (freq - i - j, i, j)
-                key = corner_key(tri, w)
-                if key not in key_to_index:
-                    p = (base_v[tri[0]] * w[0] + base_v[tri[1]] * w[1]
-                         + base_v[tri[2]] * w[2]) / freq
-                    key_to_index[key] = len(verts)
-                    verts.append(p)
-                grid[(i, j)] = key_to_index[key]
-        for i in range(freq):
-            for j in range(freq - i):
-                faces.append((grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]))
-                if i + j < freq - 1:
-                    faces.append((grid[(i + 1, j)], grid[(i + 1, j + 1)],
-                                  grid[(i, j + 1)]))
-    verts = np.array(verts)
+    m = freq + 1
+    i, j = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) <= freq)
+    corners = np.repeat(base_f, len(i), axis=0)
+    weights = np.tile(np.stack([freq - i - j, i, j], axis=1), (len(base_f), 1))
+    code = np.sort(np.where(weights > 0, corners * m + weights, 12 * m), axis=1)
+    key = (code[:, 0] * 13 * m + code[:, 1]) * 13 * m + code[:, 2]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    c, w = corners[first[order]], weights[first[order]]
+    verts = (base_v[c[:, 0]] * w[:, :1] + base_v[c[:, 1]] * w[:, 1:2]
+             + base_v[c[:, 2]] * w[:, 2:]) / freq
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    faces = np.array(faces, dtype=np.int64)
-    faces = _orient_outward(verts, faces)
+    # local point of (i, j); -1 off the triangle drops diagonal cells' down faces
+    grid = np.full((m, m), -1)
+    grid[i, j] = np.arange(len(i))
+    i, j = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < freq)
+    cells = np.stack([grid[i, j], grid[i + 1, j], grid[i, j + 1], grid[i + 1, j],
+                      grid[i + 1, j + 1], grid[i, j + 1]], axis=1).reshape(-1, 3)
+    cells = cells[cells.min(axis=1) >= 0]
+    faces = rank[inverse].reshape(len(base_f), -1)[:, cells].reshape(-1, 3)
     return verts, faces
 
 
@@ -265,13 +264,14 @@ _LINK_KINDS = {
 MESH_KINDS = tuple(sorted(_MESH_KINDS))
 LINK_KINDS = tuple(sorted(_LINK_KINDS))
 KNOWN_SHAPES = MESH_KINDS + LINK_KINDS
+_KINDS = {**_MESH_KINDS, **_LINK_KINDS}
 
 
 def make_shape(kind, resolution, **params):
     """Build a named shape. Mesh kinds return TriMesh, link kinds PolyLink."""
-    if kind in _MESH_KINDS:
-        return _MESH_KINDS[kind](resolution=resolution, **params)
-    if kind in _LINK_KINDS:
-        return _LINK_KINDS[kind](resolution=resolution, **params)
-    known = sorted(_MESH_KINDS) + sorted(_LINK_KINDS)
-    raise ParameterError(f"unknown shape kind {kind!r}; known kinds: {known}")
+    if kind not in _KINDS:
+        raise ParameterError(f"unknown shape kind {kind!r}; known kinds: {list(KNOWN_SHAPES)}")
+    unknown = sorted(set(params) - set(inspect.signature(_KINDS[kind]).parameters))
+    if unknown:
+        raise ParameterError(f"{kind} takes no parameter(s) {unknown}")
+    return _KINDS[kind](resolution=resolution, **params)

@@ -190,3 +190,33 @@ def test_non_finite_mesh_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["energy", mesh]) == 2
     assert "error: vertex coordinates must be finite" in capsys.readouterr().err
+
+
+def test_link_energy_on_a_mesh_exits_2(tmp_path, capsys):
+    mesh = str(tmp_path / "s.obj")
+    main(["generate", "sphere", "--resolution", "8", "-o", mesh])
+    capsys.readouterr()
+    assert main(["link-energy", mesh]) == 2
+    assert "error: not valid JSON" in capsys.readouterr().err
+
+
+def test_optimize_willmore_on_a_link_exits_2(tmp_path, capsys):
+    link = str(tmp_path / "l.json")
+    main(["generate", "hopf_link", "--resolution", "32", "-o", link])
+    capsys.readouterr()
+    assert main(["optimize", link, "--steps", "1"]) == 2
+    assert "error: no vertices found" in capsys.readouterr().err
+
+
+def test_optimize_mobius_on_a_mesh_exits_2(tmp_path, capsys):
+    mesh = str(tmp_path / "s.obj")
+    main(["generate", "sphere", "--resolution", "8", "-o", mesh])
+    capsys.readouterr()
+    assert main(["optimize", mesh, "--kind", "mobius", "--steps", "1"]) == 2
+    assert "error: not valid JSON" in capsys.readouterr().err
+
+
+def test_unknown_shape_parameter_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "x.obj")
+    assert main(["generate", "sphere", "--param", "bogus=1", "-o", out]) == 2
+    assert "error: sphere takes no parameter(s) ['bogus']" in capsys.readouterr().err

@@ -14,7 +14,8 @@ from cel.energies import gauss_map_torus
 from cel.fixtures import genus2_surface
 from cel.mesh import _pair_tiles
 from cel.projection import stereographic, stereographic_inverse
-from cel.shapes import _grid_torus_faces
+from cel.shapes import (_grid_torus_faces, _icosahedron, _icosphere,
+                        _orient_outward, _signed_volume)
 
 
 def test_mesh_validate_all_kinds():
@@ -90,6 +91,53 @@ def test_grid_faces_on_an_unequal_gauss_map_grid():
         torus.faces, _reference_grid_faces(torus.vertices, 64, 96))
 
 
+def _reference_icosphere(freq):
+    """Point-by-point subdivision with a dict of corner keys."""
+    base_v, base_f = _icosahedron()
+    key_to_index = {}
+    verts = []
+    faces = []
+
+    def corner_key(ids, weights):
+        return tuple(sorted((int(i), int(w)) for i, w in zip(ids, weights) if w > 0))
+
+    for tri in base_f:
+        grid = {}
+        for i in range(freq + 1):
+            for j in range(freq + 1 - i):
+                w = (freq - i - j, i, j)
+                key = corner_key(tri, w)
+                if key not in key_to_index:
+                    p = (base_v[tri[0]] * w[0] + base_v[tri[1]] * w[1]
+                         + base_v[tri[2]] * w[2]) / freq
+                    key_to_index[key] = len(verts)
+                    verts.append(p)
+                grid[(i, j)] = key_to_index[key]
+        for i in range(freq):
+            for j in range(freq - i):
+                faces.append((grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]))
+                if i + j < freq - 1:
+                    faces.append((grid[(i + 1, j)], grid[(i + 1, j + 1)],
+                                  grid[(i, j + 1)]))
+    verts = np.array(verts)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    faces = np.array(faces, dtype=np.int64)
+    return verts, _orient_outward(verts, faces)
+
+
+@pytest.mark.parametrize("freq", [8, 9, 13, 16, 32, 64, 96])
+def test_icosphere_matches_point_by_point_reference(freq):
+    verts, faces = _icosphere(freq)
+    ref_verts, ref_faces = _reference_icosphere(freq)
+    assert faces.dtype == np.int64
+    assert verts.shape == (10 * freq ** 2 + 2, 3)
+    assert faces.shape == (20 * freq ** 2, 3)
+    # bytes, so that signed zeros match too
+    assert verts.tobytes() == ref_verts.tobytes()
+    np.testing.assert_array_equal(faces, ref_faces)
+    assert _signed_volume(verts, faces) > 0.0
+
+
 def test_genus2_surface_is_pinned():
     g2 = genus2_surface(resolution=16)
     assert (g2.vertex_count, g2.face_count) == (508, 1020)
@@ -127,14 +175,21 @@ def test_areas_match_closed_forms():
 
 
 def test_make_shape_guards():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as exc:
         make_shape("klein_bottle", resolution=8)
+    assert str(exc.value) == (
+        "unknown shape kind 'klein_bottle'; known kinds: ['clifford_torus', "
+        "'ellipsoid', 'geodesic_sphere', 'sphere', 'tube_torus', "
+        "'coaxial_circles', 'hopf_link', 'torus_link']")
     with pytest.raises(ParameterError):
         make_shape("geodesic_sphere", resolution=8, center=(1, 0, 0, 0),
                    radius=np.pi)
     with pytest.raises(ParameterError):
         make_shape("geodesic_sphere", resolution=8, center=(2, 0, 0, 0),
                    radius=0.5)
+    for kind in ("sphere", "hopf_link"):
+        with pytest.raises(ParameterError, match=r"\['bogus', 'zz'\]"):
+            make_shape(kind, resolution=8, zz=2, bogus=1)
 
 
 def test_hopf_link_geometry(hopf128):
