@@ -125,6 +125,8 @@ def hk_verify(mesh, v_grid=None, t_grid=None, vmax=0.5, vsteps=5, tsteps=33):
 
         if not 0.0 <= vmax <= 0.7:
             raise ParameterError("vmax must lie in [0, 0.7]")
+        if vsteps < 1:
+            raise ParameterError("vsteps must be positive")
         dirs = unit_directions(vsteps, 4, seed=0)
         strengths = np.linspace(0.0, vmax, vsteps)
         v_grid = [s * d for s in strengths for d in dirs]
@@ -132,8 +134,12 @@ def hk_verify(mesh, v_grid=None, t_grid=None, vmax=0.5, vsteps=5, tsteps=33):
     if any(np.linalg.norm(v) > 0.7 + 1e-12 for v in v_grid):
         raise ParameterError("dilation strengths above 0.7 need manual refinement")
     if t_grid is None:
+        if tsteps < 1:
+            raise ParameterError("tsteps must be positive")
         t_grid = np.linspace(-np.pi, np.pi, tsteps)
     t_grid = np.asarray(t_grid, dtype=np.float64)
+    if not v_grid or t_grid.size == 0:
+        raise ParameterError("the v and t grids need at least one point each")
 
     energy = willmore_energy(mesh)
     best = (-np.inf, None, None)

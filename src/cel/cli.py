@@ -17,7 +17,7 @@ from . import verify
 from .canonical import hk_verify
 from .conformal import dilate_mesh
 from .energies import _far_pole, _linking_bound, mobius_energy, willmore_energy
-from .errors import FormatError, GeometryError
+from .errors import FormatError, GeometryError, ParameterError
 from .laplace import laplace_minmax
 from .mesh import load_link, load_obj, save_link, save_obj
 from .optimize import mobius_descent, tube_family_sweep, willmore_descent
@@ -61,6 +61,8 @@ def _parse_params(pairs):
 
 def cmd_generate(args):
     params = _parse_params(args.param)
+    if "resolution" in params:
+        raise ParameterError("set the resolution with --resolution, not --param")
     obj = make_shape(args.kind, resolution=args.resolution, **params)
     if args.kind in LINK_KINDS:
         save_link(obj, args.output)
@@ -93,7 +95,10 @@ def cmd_link_energy(args):
 def cmd_conformal_test(args):
     mesh = load_obj(args.mesh)
     direction = np.asarray(args.direction, dtype=np.float64)
-    direction /= np.linalg.norm(direction)
+    norm = np.linalg.norm(direction)
+    if not 0.0 < norm < np.inf:
+        raise ParameterError("--direction must be a nonzero finite vector")
+    direction /= norm
     base = willmore_energy(mesh)
     rows = []
     for s in args.strengths:

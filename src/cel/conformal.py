@@ -26,6 +26,19 @@ from .projection import stereographic, stereographic_inverse
 from .shapes import _orthobasis
 
 
+def _ball_point(v, what):
+    """v as a float array, checked to be a finite point of the open unit
+    ball of R^4; NaN would slip past a plain norm comparison."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (4,):
+        raise ParameterError(f"{what} must be a point of R^4")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError(f"{what} must be finite")
+    if np.linalg.norm(v) >= 1.0:
+        raise ParameterError(f"{what} must lie in the open unit ball")
+    return v
+
+
 @dataclass(frozen=True)
 class ConformalDilation:
     """Dilation of S^3 toward v/|v| with strength |v| < 1."""
@@ -33,12 +46,7 @@ class ConformalDilation:
     v: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.shape != (4,):
-            raise ParameterError("dilation parameter must be a point of R^4")
-        if np.linalg.norm(v) >= 1.0:
-            raise ParameterError("dilation parameter must lie in the open unit ball")
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _ball_point(self.v, "dilation parameter"))
 
     @property
     def strength(self):
@@ -57,12 +65,7 @@ class InversionR4:
     v: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.shape != (4,):
-            raise ParameterError("inversion center must be a point of R^4")
-        if np.linalg.norm(v) >= 1.0:
-            raise ParameterError("inversion center must lie in the open unit ball")
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _ball_point(self.v, "inversion center"))
 
 
 def inversion_center(v):

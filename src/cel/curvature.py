@@ -87,10 +87,9 @@ def _stencils(mesh):
 
     Returns the two-ring (V, m_max), padded with each vertex's own index (no
     vertex is in its own two-ring, so padding is recognisable); the two-ring
-    sizes; the fan (V, f_max, 2), which names the other two corners of
+    sizes; and the fan (V, f_max, 2), which names the other two corners of
     each incident face, in winding order, by their slots in the two-ring
-    row; and the two-ring CSR pattern itself. Padded fan slots name slot 0
-    twice, a degenerate triangle.
+    row. Padded fan slots name slot 0 twice, a degenerate triangle.
     """
     two = _two_ring(mesh)
     indptr, indices = two.indptr, two.indices
@@ -109,7 +108,7 @@ def _stencils(mesh):
         return np.searchsorted(keys, owner * n + nbr) - indptr[owner]
 
     fan = np.stack([_padded(fptr, slots(k), 0) for k in (1, 2)], axis=2)
-    return _padded(indptr, indices, np.arange(n)[:, None]), counts, fan, two
+    return _padded(indptr, indices, np.arange(n)[:, None]), counts, fan
 
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
@@ -277,7 +276,7 @@ def _quadric_fit(local, frame_n, counts):
 
 def estimate_curvatures(mesh):
     """Estimate a CurvatureField for a closed mesh in R^3 or on S^3."""
-    ring, counts, fan, _ = _stencils(mesh)
+    ring, counts, fan = _stencils(mesh)
     basis = _s3_tangent_basis(mesh.vertices) if mesh.ambient == "S3" else None
     local, diff = _ring_coords(mesh.vertices, np.arange(mesh.vertex_count), ring, basis)
     frame_n, weight = _fan_sums(local, diff, fan)

@@ -3,24 +3,26 @@
 Gradients are central finite differences of the same discrete energies the
 rest of the package reports, so a descent step can never game the
 measurement. Brute-force differencing would refit curvature on the whole
-mesh per coordinate; instead vertices are grouped into classes pairwise
-farther than four edges apart, a whole class is displaced at once, and only
-the fits inside the two-ring of each displaced vertex are redone. No energy
-term lies in the two-ring of two class members at the same time, so the
-grouped difference recovers every per-vertex derivative exactly, at the
-cost of one localized refit per class and axis instead of one per vertex
-and axis.
+mesh per coordinate; instead a probe of one vertex refits only the energy
+terms it can change, those of the vertex and of its two-ring.
 
-The refits use the dense-stencil fit kernel of curvature.py and reuse each
-class's unmoved geometry. Once per class, the chart coordinates, ambient
-differences and S^3 tangent bases of every affected stencil row are taken
-at the unperturbed positions. A probe then recomputes the rows of the
-displaced members and, in every other row, the one two-ring slot that holds
-its displaced member; fan normals and areas are read from those slots, and
-the fit runs on all rows. Entries a probe leaves alone are the same numbers
-in both probes of a difference, so they cancel exactly. Probes of different
-classes are not stacked into one kernel call: the stacked working set
-outgrows the cache and ran slower.
+Vertices are probed in fixed chunks of consecutive indices. Each member of a
+chunk owns a copy of its stencil rows: its own row, then one row per
+two-ring vertex in which the member is moved at exactly one slot and every
+other entry is unmoved. Chunk-mates may be neighbours, but no row copy sees
+two of them move, so a chunk's probes give every per-vertex derivative
+bit for bit, however the vertices are grouped.
+
+The refits use the dense-stencil fit kernel of curvature.py. Once per chunk,
+the chart coordinates, ambient differences and S^3 tangent bases of every
+row copy are taken at the unperturbed positions. A probe then recharts each
+member's own row from its moved position against its unmoved two-ring and,
+in every other row, rewrites the one slot that holds its member; fan normals
+and areas are read from those slots, and the fit runs on all rows. Entries a
+probe leaves alone are the same numbers in both probes of a difference, so
+they cancel exactly. The chunk size bounds the working set of one kernel
+call: the rows of many more vertices at once outgrow the cache and run
+slower.
 
 On the three-sphere, positions are renormalized to unit length before every
 evaluation. Differencing the composition with the projection makes radial
@@ -58,43 +60,24 @@ class SweepReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+# vertices per gradient chunk, about 600 stencil row copies on the
+# near-regular generated meshes
+_CHUNK = 32
+
+
 class _LocalEnergyModel:
     """Per-vertex bending energy terms with localized refits.
 
-    The combinatorics (dense two-ring and fan tables, conflict coloring)
-    depend only on the faces and are precomputed once; after that, energy
-    terms for any subset of vertices can be evaluated at any vertex
-    positions.
+    The combinatorics (dense two-ring and fan tables) depend only on the
+    faces and are precomputed once; after that, energy terms for any subset
+    of vertices can be evaluated at any vertex positions.
     """
 
     def __init__(self, mesh):
         self.ambient = mesh.ambient
         self.dim = mesh.vertices.shape[1]
         self.n = mesh.vertex_count
-        self.ring, self.counts, self.fan, two = _stencils(mesh)
-        self.classes = self._conflict_classes(two)
-
-    @staticmethod
-    def _conflict_classes(two):
-        """Greedy classes of vertices pairwise farther than 4 edges apart.
-
-        Two vertices conflict when some energy term depends on both, which
-        happens exactly when their two-rings-with-self intersect. With the
-        two-ring pattern T symmetric, that is the pattern of (T + I)(T + I)^T
-        = T @ T + 2T + I, which off the diagonal is the pattern of
-        T @ T + T.
-        """
-        n = two.shape[0]
-        conflict = two @ two + two
-        color = np.full(n, -1, dtype=np.int64)
-        for v in range(n):
-            taken = set(color[conflict.indices[conflict.indptr[v]:
-                                               conflict.indptr[v + 1]]])
-            c = 0
-            while c in taken:
-                c += 1
-            color[v] = c
-        return [np.flatnonzero(color == c) for c in range(color.max() + 1)]
+        self.ring, self.counts, self.fan = _stencils(mesh)
 
     def _basis(self, pts):
         return _s3_tangent_basis(pts) if self.ambient == "S3" else None
@@ -114,49 +97,49 @@ class _LocalEnergyModel:
                                    self._basis(positions[rows]))
         return self._terms(local, diff, self.fan[rows], self.counts[rows])
 
-    def gradient(self, positions, h=None):
+    def gradient(self, positions):
         """Central-difference gradient of the total energy, (V, dim)."""
-        if h is None:
-            lo, hi = positions.min(axis=0), positions.max(axis=0)
-            h = 1e-5 * max(float(np.linalg.norm(hi - lo)), 1e-12)
+        lo, hi = positions.min(axis=0), positions.max(axis=0)
+        h = 1e-5 * max(float(np.linalg.norm(hi - lo)), 1e-12)
         grad = np.zeros((self.n, self.dim))
-        for members in self.classes:
-            # stencil rows of the class: each member, then its two-ring;
-            # the blocks are disjoint by construction
+        for start in range(0, self.n, _CHUNK):
+            members = np.arange(start, min(start + _CHUNK, self.n))
+            # each member's row copies: its own row, then its two-ring
             sizes = self.counts[members] + 1
-            ptr = np.concatenate([[0], np.cumsum(sizes)])
-            block = np.concatenate([members[:, None], self.ring[members]], axis=1)
+            lead = np.cumsum(sizes) - sizes
+            nbr = self.ring[members]
+            block = np.concatenate([members[:, None], nbr], axis=1)
             rows = block[np.arange(block.shape[1]) < sizes[:, None]]
-            lead = ptr[:-1]
             rest = np.delete(np.arange(len(rows)), lead)
-            owner = np.repeat(members, sizes)[rest]
+            owner = np.repeat(np.arange(len(members)), sizes)[rest]
 
             basis = self._basis(positions[rows])
             local, diff = _ring_coords(positions, rows, self.ring, basis)
             fan, counts = self.fan[rows], self.counts[rows]
-            # every other row sees the displaced member at exactly one
-            # two-ring slot; a probe rewrites the member rows and those
-            # slots, all other entries keep their unperturbed values
-            slot = np.argmax(self.ring[rows[rest]] == owner[:, None], axis=1)
+            # every other row sees its member at exactly one two-ring slot;
+            # a probe rewrites the member rows and those slots, all other
+            # entries keep their unperturbed values
+            slot = np.argmax(self.ring[rows[rest]] == members[owner, None], axis=1)
             rest_base = positions[rows[rest]]
             rest_basis = None if basis is None else basis[rest]
+            nbr_pts, pad = positions[nbr], nbr == members[:, None]
 
             for axis in range(self.dim):
                 sums = []
                 for sign in (1.0, -1.0):
-                    pts = positions.copy()
-                    pts[members, axis] += sign * h
+                    moved = positions[members]
+                    moved[:, axis] += sign * h
                     if self.ambient == "S3":
-                        pts[members] /= np.linalg.norm(pts[members],
-                                                       axis=1)[:, None]
-                    local[lead], diff[lead] = _ring_coords(
-                        pts, members, self.ring, self._basis(pts[members]))
+                        moved /= np.linalg.norm(moved, axis=1)[:, None]
+                    own_local, own_diff = _chart(moved, nbr_pts, self._basis(moved))
+                    own_local[pad] = 0.0
+                    local[lead], diff[lead] = own_local, own_diff
                     moved_local, moved_diff = _chart(
-                        rest_base, pts[owner, None, :], rest_basis)
+                        rest_base, moved[owner, None, :], rest_basis)
                     local[rest, slot] = moved_local[:, 0]
                     diff[rest, slot] = moved_diff[:, 0]
                     terms = self._terms(local, diff, fan, counts)
-                    sums.append(np.add.reduceat(terms, ptr[:-1]))
+                    sums.append(np.add.reduceat(terms, lead))
                 grad[members, axis] = (sums[0] - sums[1]) / (2.0 * h)
         return grad
 

@@ -59,3 +59,11 @@ def test_hk_guards(sphere16, clifford16):
         hk_verify(sphere16)
     with pytest.raises(ParameterError):
         hk_verify(clifford16, vmax=0.9)
+
+
+@pytest.mark.parametrize("grids", [{"vsteps": 0}, {"tsteps": 0},
+                                   {"vsteps": -1}, {"tsteps": -2},
+                                   {"v_grid": []}, {"t_grid": []}])
+def test_hk_verify_rejects_empty_grids(clifford16, grids):
+    with pytest.raises(ParameterError):
+        hk_verify(clifford16, **grids)

@@ -220,3 +220,29 @@ def test_unknown_shape_parameter_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.obj")
     assert main(["generate", "sphere", "--param", "bogus=1", "-o", out]) == 2
     assert "error: sphere takes no parameter(s) ['bogus']" in capsys.readouterr().err
+
+
+def test_resolution_as_a_parameter_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "x.obj")
+    assert main(["generate", "sphere", "--param", "resolution=9", "-o", out]) == 2
+    assert "--resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["--vsteps", "--tsteps"])
+def test_hk_on_an_empty_grid_exits_2(tmp_path, capsys, grid):
+    mesh = str(tmp_path / "ct.obj")
+    main(["generate", "clifford_torus", "--resolution", "8", "-o", mesh])
+    capsys.readouterr()
+    assert main(["hk-test", mesh, grid, "0"]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--direction", "0", "0", "0", "0"],
+                                   ["--direction", "nan", "0", "0", "0"],
+                                   ["--strengths", "nan"]])
+def test_conformal_on_a_bad_dilation_exits_2(tmp_path, capsys, extra):
+    mesh = str(tmp_path / "ct.obj")
+    main(["generate", "clifford_torus", "--resolution", "8", "-o", mesh])
+    capsys.readouterr()
+    assert main(["conformal-test", mesh, *extra]) == 2
+    assert "error: " in capsys.readouterr().err

@@ -40,6 +40,16 @@ def test_dilation_strength_guard():
         ConformalDilation(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_dilations_are_rejected(clifford16, bad):
+    v = np.array([0.1, bad, 0.0, 0.0])
+    for build in (ConformalDilation, InversionR4):
+        with pytest.raises(ParameterError, match="finite"):
+            build(v)
+    with pytest.raises(ParameterError):
+        dilate_mesh(clifford16, np.full(4, bad))
+
+
 def test_energy_drift_under_dilation(clifford32):
     base = willmore_energy(clifford32, error_estimate=False).value
     v = 0.3 * np.array([0.0, 1.0, 0.0, 0.0])

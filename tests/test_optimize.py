@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import cel.optimize
 from cel import (ParameterError, ResolutionWarning, TriMesh, estimate_curvatures,
-                 make_shape, mobius_descent, mobius_energy,
+                 genus2_surface, make_shape, mobius_descent, mobius_energy,
                  tube_family_sweep, willmore_descent, willmore_energy,
                  willmore_relative_gradient)
 from cel.curvature import _stencils
@@ -113,12 +114,47 @@ def test_two_ring_counts_do_not_wrap():
     assert len(expect) == 257
 
 
-def test_conflict_classes_have_disjoint_stencils_at_high_valence():
-    model = _LocalEnergyModel(_bipyramid(254))
-    for members in model.classes:
-        reach = np.concatenate([np.r_[v, model.ring[v, :model.counts[v]]]
-                                for v in members])
-        assert len(np.unique(reach)) == len(reach)
+@pytest.mark.parametrize("build", [
+    lambda: perturb_mesh(make_shape("clifford_torus", resolution=12), 0.05, seed=9),
+    lambda: genus2_surface(resolution=16),
+    lambda: perturb_mesh(make_shape("sphere", resolution=8), 0.02, seed=5),
+], ids=["clifford_torus", "genus2", "sphere"])
+def test_gradient_does_not_depend_on_the_chunk_size(build, monkeypatch):
+    # chunk-mates that neighbour each other must see each other unmoved
+    mesh = build()
+    want = willmore_gradient(mesh)
+    for chunk in (1, 7, mesh.vertex_count):
+        monkeypatch.setattr(cel.optimize, "_CHUNK", chunk)
+        assert np.array_equal(willmore_gradient(mesh), want), chunk
+
+
+def test_grouped_gradient_is_a_one_vertex_difference_bit_for_bit():
+    # a valence-5 vertex's own row is padded, and its padded slots must
+    # chart as exactly zero once the vertex moves
+    mesh = perturb_mesh(make_shape("sphere", resolution=8), 0.02, seed=5)
+    model = _LocalEnergyModel(mesh)
+    grad = model.gradient(mesh.vertices)
+    h = 1e-5 * mesh.bbox_diameter()
+    for v in np.flatnonzero(np.bincount(mesh.faces.ravel()) == 5):
+        rows = np.r_[v, model.ring[v, :model.counts[v]]]
+        for axis in range(3):
+            sums = []
+            for sign in (1.0, -1.0):
+                pts = mesh.vertices.copy()
+                pts[v, axis] += sign * h
+                sums.append(np.add.reduceat(model.energy_terms(pts, rows), [0])[0])
+            assert (sums[0] - sums[1]) / (2.0 * h) == grad[v, axis], (v, axis)
+
+
+def test_grouped_gradient_matches_brute_force_at_high_valence():
+    # the apexes have valence 40 and a two-ring of every other vertex,
+    # so every row is padded to the widest stencil
+    mesh = perturb_mesh(_bipyramid(40), 0.02, seed=8)
+    vertices = [40, 41, 0, 20]
+    h = 1e-5 * mesh.bbox_diameter()
+    fast = willmore_gradient(mesh)[vertices]
+    slow = brute_willmore_gradient(mesh, h, vertices)[vertices]
+    assert np.abs(fast - slow).max() / np.abs(slow).max() < 1e-9
 
 
 def test_mobius_gradient_matches_brute_force():
