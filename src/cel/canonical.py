@@ -72,7 +72,7 @@ def parallel_area(mesh, field=None, t=0.0):
     """Mass of the surface marched a signed time t along its normal."""
     field = _check_s3_field(mesh, field)
     t = float(t)
-    if abs(t) > np.pi:
+    if not abs(t) <= np.pi:
         raise ParameterError("parallel time must lie in [-pi, pi]")
     return stable_sum(_clamped_jacobian(field, t) * field.weight)
 
@@ -83,7 +83,9 @@ def parallel_area_curve(mesh, field=None, t_grid=None, v=None):
     if t_grid is None:
         t_grid = np.linspace(-np.pi, np.pi, 129)
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    if np.abs(t_grid).max() > np.pi:
+    if t_grid.size == 0:
+        raise ParameterError("the t grid needs at least one point")
+    if not np.all(np.abs(t_grid) <= np.pi):
         raise ParameterError("parallel times must lie in [-pi, pi]")
     areas = np.array([stable_sum(_clamped_jacobian(field, t) * field.weight)
                       for t in t_grid])

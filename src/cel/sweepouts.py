@@ -23,7 +23,6 @@ from ._accum import unit_directions
 from .errors import (GeometryError, InputError, InsufficientDataError,
                      MeshQualityError, ParameterError)
 from .laplace import laplace_eigs
-from .mesh import _TILE_PAIRS
 
 
 @dataclass
@@ -71,55 +70,125 @@ _CROSSED = _CORNERS != np.roll(_CORNERS, -1, axis=1)
 _FIRST_SLOT = _CROSSED.argmax(axis=1)
 _LAST_SLOT = 2 - _CROSSED[:, ::-1].argmax(axis=1)
 
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
+# fields per kernel call in _sampled_sup, at most the 64 bits of a sign word:
+# 32 runs as fast as 64 on the resolution-32 sphere, and 64 raises the
+# widths workload's peak resident memory by 2 MB
+_SUP_BLOCK = 32
+
+
+def _sign_words(fields, level):
+    """One uint64 per vertex whose bit b is set when field b of a (B, V)
+    block, B <= 64, is at or above the level."""
+    b, v = fields.shape
+    above = np.zeros((-(-b // 8) * 8, v), dtype=np.uint8)
+    np.greater_equal(fields, level, out=above[:b].view(bool))
+    # byte k of a word holds fields 8k..8k+7, lowest bit first
+    bits = above.reshape(-1, 8, v)
+    packed = bits[:, 0].copy()
+    for s in range(1, 8):
+        packed |= bits[:, s] << s
+    byte = np.zeros((v, 8), dtype=np.uint8)
+    byte[:, :len(packed)] = packed.T
+    return byte.view("<u8").ravel()
+
 
 def _cut_faces(faces, fields, level):
     """Every face that the level set of a field in a (B, V) block cuts.
 
-    A vertex with value exactly at the level counts as above, which keeps
-    the above/below partition binary with no special cases. Returns the
-    field and face index of each cut, ordered by field and then by face,
-    with its first and last crossed slot.
+    B is at most 64: the above/below signs of all B fields at a vertex are
+    the bits of one word, and a face is cut by the fields whose bits differ
+    among its three corner words. Only faces that some field cuts are
+    unpacked to one bit per field. A vertex with value exactly at the level
+    counts as above, which keeps the partition binary with no special
+    cases. Returns the field of each cut, ordered by field and then by face,
+    and the (start, end) vertices of its first and last crossed edge.
     """
-    above = (fields >= level).view(np.uint8)
-    code = (above[:, faces[:, 0]] | above[:, faces[:, 1]] << 1
-            | above[:, faces[:, 2]] << 2)
-    cut = np.flatnonzero((code != 0) & (code != 7))
-    field, face = np.divmod(cut, len(faces))
-    code = code.ravel()[cut]
-    return field, face, _FIRST_SLOT[code], _LAST_SLOT[code]
+    wa, wb, wc = _sign_words(fields, level)[faces.T]
+    mixed = (wa ^ wb) | (wb ^ wc)
+    hit = np.flatnonzero(mixed)
+    # bit s of byte k of each hit face's word, as row 8k + s
+    byte = mixed[hit].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    byte = np.ascontiguousarray(byte[:, :-(-len(fields) // 8)].T)
+    bits = byte[:, None] >> _BIT_SHIFTS
+    bits &= 1
+    bits = bits.reshape(8 * len(byte), -1)[:len(fields)]
+    cut = np.flatnonzero(bits.view(bool))
+    del bits
+    field = cut // len(hit)
+    cut -= field * len(hit)
+    face = hit[cut]
+    shift = field.astype(np.uint64)
+    code = (wa[face] >> shift & 1 | (wb[face] >> shift & 1) << 1
+            | (wc[face] >> shift & 1) << 2).view(np.int64)
+    face *= 3
+    starts = faces.ravel()
+    ends = np.roll(faces, -1, axis=1).ravel()
+
+    def edge(table):
+        slot = table[code]
+        slot += face
+        return starts[slot], ends[slot]
+
+    return field, edge(_FIRST_SLOT), edge(_LAST_SLOT)
 
 
-def _crossings(verts, fields, level, field, i, j):
-    """Points where field row `field` crosses the level on edges (i, j)."""
-    ti = fields[field, i]
-    tj = fields[field, j]
-    t = (level - ti) / (tj - ti)
-    vi = verts[i]
-    return vi + t[:, None] * (verts[j] - vi)
+def _crossings(coord, i, j, t):
+    """One coordinate of the points ci + t (cj - ci) on edges (i, j)."""
+    ci = coord[i]
+    x = coord[j]
+    x -= ci
+    x *= t
+    x += ci
+    return x
+
+
+def _fractions(flat, level, row, i, j):
+    """t = (level - ti) / (tj - ti) on edges (i, j), with the field values
+    read at flat[row + i] in the raveled block."""
+    ti = flat[row + i]
+    t = flat[row + j]
+    t -= ti
+    np.subtract(level, ti, out=ti)
+    ti /= t
+    return ti
 
 
 def _level_set_lengths(mesh, fields, level):
-    """Level-set length of each field in a (B, V) block, as a list.
+    """Level-set length of each field in a (B, V) block, B <= 64, as a list.
 
     Each cut triangle contributes the straight segment between its two edge
     crossings, and each field's segments are summed on their own, so a
-    length does not depend on the block it was computed in.
+    length does not depend on the block it was computed in. The segment
+    length adds the squared coordinates in order, as np.linalg.norm does.
+    Each face computes its own crossings: t is not symmetric in i and j, so
+    an edge's two faces need not round its crossing alike.
     """
-    faces = mesh.faces
-    field, face, first, last = _cut_faces(faces, fields, level)
-    a = _crossings(mesh.vertices, fields, level, field,
-                   faces[face, first], faces[face, (first + 1) % 3])
-    b = _crossings(mesh.vertices, fields, level, field,
-                   faces[face, last], faces[face, (last + 1) % 3])
-    seg = np.linalg.norm(a - b, axis=1)
+    field, first, last = _cut_faces(mesh.faces, fields, level)
     ends = np.searchsorted(field, np.arange(1, len(fields)))
+    field *= fields.shape[1]
+    flat = fields.ravel()
+    ta = _fractions(flat, level, field, *first)
+    tb = _fractions(flat, level, field, *last)
+    del field
+    seg = np.zeros(len(ta))
+    for coord in np.ascontiguousarray(mesh.vertices.T):
+        d = _crossings(coord, *first, ta)
+        d -= _crossings(coord, *last, tb)
+        d *= d
+        seg += d
+    np.sqrt(seg, out=seg)
     return [float(part.sum()) for part in np.split(seg, ends)]
 
 
-def _one_field(mesh, values):
+def _one_field(mesh, values, level):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.vertex_count,):
         raise InputError("field length does not match the vertex count")
+    if not np.isfinite(values).all():
+        raise InputError("field values must be finite")
+    if not math.isfinite(level):
+        raise ParameterError("level must be finite")
     return values[None, :]
 
 
@@ -130,7 +199,7 @@ def level_set_length(mesh, values, level=0.0):
     crossings; no loop assembly happens, which makes this the cheap path for
     supremum sampling. An empty level set has length zero.
     """
-    return _level_set_lengths(mesh, _one_field(mesh, values), level)[0]
+    return _level_set_lengths(mesh, _one_field(mesh, values, level), level)[0]
 
 
 def sublevel_boundary(mesh, values, level=0.0):
@@ -140,21 +209,20 @@ def sublevel_boundary(mesh, values, level=0.0):
     meeting there, so on a closed mesh every crossing has exactly two
     segment neighbors and the segments chain into disjoint closed loops.
     """
-    fields = _one_field(mesh, values)
-    field, face, first, last = _cut_faces(mesh.faces, fields, level)
-    if len(face) == 0:
+    fields = _one_field(mesh, values, level)
+    field, first, last = _cut_faces(mesh.faces, fields, level)
+    if len(field) == 0:
         return CycleSet(loops=[], total_length=0.0)
 
     v = mesh.vertex_count
 
-    def edge_key(slot):
-        i = mesh.faces[face, slot]
-        j = mesh.faces[face, (slot + 1) % 3]
+    def edge_key(i, j):
         return np.minimum(i, j) * v + np.maximum(i, j)
 
     # segment s joins crossings ends[2s] and ends[2s + 1]
-    keys, ends = np.unique(np.stack([edge_key(first), edge_key(last)], axis=1),
-                           return_inverse=True)
+    keys, ends = np.unique(
+        np.stack([edge_key(*first), edge_key(*last)], axis=1),
+        return_inverse=True)
     ends = ends.ravel()
     if np.any(np.bincount(ends, minlength=len(keys)) != 2):
         raise MeshQualityError("level set does not close up; the mesh is "
@@ -164,8 +232,11 @@ def sublevel_boundary(mesh, values, level=0.0):
     order = np.argsort(ends, kind="stable")
     nbr = ends[order ^ 1].reshape(-1, 2)
 
-    points = _crossings(mesh.vertices, fields, level, np.zeros_like(keys),
-                        keys // v, keys % v)
+    i, j = keys // v, keys % v
+    t = _fractions(fields.ravel(), level, 0, i, j)
+    points = np.stack([_crossings(coord, i, j, t)
+                       for coord in np.ascontiguousarray(mesh.vertices.T)],
+                      axis=1)
 
     visited = np.zeros(len(keys), dtype=bool)
     loops = []
@@ -267,10 +338,15 @@ def _sampled_sup(mesh, columns, truncation, samples, seed_key):
                            np.random.SeedSequence(seed_key), antipodal=True)
     best = 0.0
     sub = columns[:, :truncation]
-    block = max(1, _TILE_PAIRS // mesh.face_count)
-    for start in range(0, samples, block):
-        fields = np.array([sub @ d for d in dirs[start:start + block]])
-        best = max(best, *_level_set_lengths(mesh, fields, 0.0))
+    if not (sub.flags.c_contiguous or sub.flags.f_contiguous):
+        # a dense copy runs the same gemv kernel on fewer cache lines
+        sub = sub.copy()
+    fields = np.empty((min(_SUP_BLOCK, samples), len(sub)))
+    for start in range(0, samples, _SUP_BLOCK):
+        part = dirs[start:start + _SUP_BLOCK]
+        for row, d in zip(fields, part):
+            np.matmul(sub, d, out=row)
+        best = max(best, *_level_set_lengths(mesh, fields[:len(part)], 0.0))
     return best
 
 
@@ -355,6 +431,8 @@ def polynomial_sup_length(mesh, degree, samples=200, seed=0):
     _require_unit_sphere_mesh(mesh)
     if degree < 1:
         raise ParameterError("degree must be at least 1")
+    if samples < 1:
+        raise ParameterError("samples must be at least 1")
     columns = real_harmonic_basis(mesh.vertices, degree)
     size = (degree + 1) ** 2
     sup = _sampled_sup(mesh, columns, size, samples, [seed, degree])

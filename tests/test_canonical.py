@@ -61,6 +61,18 @@ def test_hk_guards(sphere16, clifford16):
         hk_verify(clifford16, vmax=0.9)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -4.0])
+def test_parallel_area_rejects_times_outside_the_range(clifford16, t):
+    with pytest.raises(ParameterError):
+        parallel_area(clifford16, t=t)
+
+
+@pytest.mark.parametrize("t_grid", [[], [0.0, np.nan], [np.inf], [-4.0, 0.0]])
+def test_parallel_area_curve_rejects_bad_grids(clifford16, t_grid):
+    with pytest.raises(ParameterError):
+        parallel_area_curve(clifford16, t_grid=t_grid)
+
+
 @pytest.mark.parametrize("grids", [{"vsteps": 0}, {"tsteps": 0},
                                    {"vsteps": -1}, {"tsteps": -2},
                                    {"v_grid": []}, {"t_grid": []}])

@@ -32,6 +32,23 @@ def test_field_length_guard(sphere16):
         level_set_length(sphere16, np.ones(7))
 
 
+@pytest.mark.parametrize("fn", [level_set_length, sublevel_boundary])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_level_set_rejects_non_finite_input(sphere16, fn, bad):
+    values = sphere16.vertices[:, 2].copy()
+    values[5] = bad
+    with pytest.raises(InputError, match="finite"):
+        fn(sphere16, values, 0.1)
+    with pytest.raises(ParameterError, match="finite"):
+        fn(sphere16, sphere16.vertices[:, 2], bad)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_polynomial_sup_needs_a_sample(sphere16, samples):
+    with pytest.raises(ParameterError, match="samples"):
+        polynomial_sup_length(sphere16, 2, samples=samples)
+
+
 def test_torus_band_boundary():
     torus = clifford_torus(resolution=24)
     # cos of the first circle angle cuts the torus in two fixed-angle
