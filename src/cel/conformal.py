@@ -196,13 +196,17 @@ def g_family(link, v, lam):
 # ---------------------------------------------------------------------------
 
 
+# sample count past which _dense_image_samples stops bisecting
+_MAX_IMAGE_SAMPLES = 400000
+
+
 def _geodesic_midpoints(a, b):
     mid = a + b
     norms = np.linalg.norm(mid, axis=1)
     return mid / norms[:, None], norms
 
 
-def _dense_image_samples(mesh, map_fn, pole, target, max_points=400000):
+def _dense_image_samples(mesh, map_fn, pole, target):
     """Map mesh vertices, bisecting source edges whose image spans more than
     `target`, until the image is sampled at roughly uniform density.
 
@@ -220,7 +224,7 @@ def _dense_image_samples(mesh, map_fn, pole, target, max_points=400000):
         usable = keep[segs[:, 0]] & keep[segs[:, 1]]
         span = np.linalg.norm(full[segs[:, 0]] - full[segs[:, 1]], axis=1)
         hot = usable & (span > target)
-        if not hot.any() or len(pts) >= max_points:
+        if not hot.any() or len(pts) >= _MAX_IMAGE_SAMPLES:
             break
         mids, chord = _geodesic_midpoints(pts[segs[hot, 0]], pts[segs[hot, 1]])
         split = np.flatnonzero(hot)[chord > 1e-9]   # near-antipodal pairs stay

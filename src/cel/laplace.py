@@ -17,25 +17,20 @@ def cotan_stiffness(mesh):
     """Sparse stiffness matrix: L_ii = sum of cotangent weights, positive
     semidefinite, kernel spanned by constants on a connected mesh."""
     verts, faces = mesh.vertices, mesh.faces
-    rows, cols, vals = [], [], []
-    for c in range(3):
-        i = faces[:, (c + 1) % 3]
-        j = faces[:, (c + 2) % 3]
-        k = faces[:, c]
-        u = verts[i] - verts[k]
-        v = verts[j] - verts[k]
-        uu = np.einsum("ij,ij->i", u, u)
-        vv = np.einsum("ij,ij->i", v, v)
-        uv = np.einsum("ij,ij->i", u, v)
-        cross2 = np.maximum(uu * vv - uv * uv, 1e-300)
-        cot = uv / np.sqrt(cross2)
-        half = 0.5 * cot
-        rows.extend([i, j, i, j])
-        cols.extend([j, i, i, j])
-        vals.extend([-half, -half, half, half])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    # row c: the angle at corner k, opposite the edge (i, j)
+    k = faces.T
+    i, j = np.roll(k, -1, axis=0), np.roll(k, -2, axis=0)
+    u = verts[i] - verts[k]
+    v = verts[j] - verts[k]
+    uu = np.einsum("cfd,cfd->cf", u, u)
+    vv = np.einsum("cfd,cfd->cf", v, v)
+    uv = np.einsum("cfd,cfd->cf", u, v)
+    cross2 = np.maximum(uu * vv - uv * uv, 1e-300)
+    half = 0.5 * (uv / np.sqrt(cross2))
+    # per corner, entries (i, j), (j, i), (i, i), (j, j) of every face
+    rows = np.stack([i, j, i, j], axis=1).ravel()
+    cols = np.stack([j, i, i, j], axis=1).ravel()
+    vals = np.stack([-half, -half, half, half], axis=1).ravel()
     n = mesh.vertex_count
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
@@ -43,11 +38,8 @@ def cotan_stiffness(mesh):
 def lumped_mass(mesh):
     """Diagonal barycentric mass: one third of incident face area."""
     areas = mesh.face_areas() / 3.0
-    m = np.zeros(mesh.vertex_count)
-    np.add.at(m, mesh.faces[:, 0], areas)
-    np.add.at(m, mesh.faces[:, 1], areas)
-    np.add.at(m, mesh.faces[:, 2], areas)
-    return sp.diags(m)
+    return sp.diags(np.bincount(mesh.faces.T.ravel(), np.tile(areas, 3),
+                                minlength=mesh.vertex_count))
 
 
 def laplace_eigs(mesh, k):

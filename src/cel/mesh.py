@@ -20,6 +20,11 @@ from .errors import FormatError, InputError, MeshQualityError, ParameterError
 AMBIENTS = ("R3", "S3")
 
 
+def _diameter(points):
+    """Diagonal of the axis-aligned bounding box of the points."""
+    return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+
+
 @dataclass
 class TriMesh:
     """Closed triangle mesh.
@@ -95,9 +100,7 @@ class TriMesh:
         return np.linalg.norm(d, axis=1)
 
     def bbox_diameter(self):
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        return _diameter(self.vertices)
 
     def with_vertices(self, vertices, keep_recipe=False):
         """Copy of the mesh with replaced vertex coordinates."""
@@ -222,9 +225,7 @@ class PolyLink:
                         np.vstack([self.gamma2, self.segments(2)[0]]))
 
     def diameter(self):
-        pts = np.vstack([self.gamma1, self.gamma2])
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        return _diameter(np.vstack([self.gamma1, self.gamma2]))
 
     def on_sphere(self, tol=1e-9):
         if self.dim != 4:
@@ -257,7 +258,8 @@ def save_obj(mesh, path):
 
 
 def load_obj(path):
-    """Read a mesh written by save_obj (or a plain v/f OBJ file)."""
+    """Read a mesh written by save_obj (or a plain v/f OBJ file) and check
+    it with TriMesh.validate."""
     ambient = None
     verts, faces = [], []
     with open(path) as fh:
@@ -303,7 +305,7 @@ def load_obj(path):
         raise FormatError("ambient tag S3 requires 4-component vertices")
     if ambient == "R3" and verts.shape[1] != 3:
         raise FormatError("ambient tag R3 requires 3-component vertices")
-    return TriMesh(verts, faces, ambient=ambient)
+    return TriMesh(verts, faces, ambient=ambient).validate()
 
 
 def save_link(link, path):

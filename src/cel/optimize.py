@@ -38,7 +38,7 @@ from .curvature import (_chart, _fan_sums, _quadric_fit, _ring_coords,
                         _s3_tangent_basis, _stencils)
 from .energies import _cross_energy_sum, _resample_closed, willmore_energy
 from .errors import InputError, MeshQualityError, ParameterError
-from .mesh import PolyLink, _min_gap, _pair_tiles, _segments
+from .mesh import PolyLink, _diameter, _min_gap, _pair_tiles, _segments
 from .shapes import tube_torus
 
 
@@ -99,8 +99,7 @@ class _LocalEnergyModel:
 
     def gradient(self, positions):
         """Central-difference gradient of the total energy, (V, dim)."""
-        lo, hi = positions.min(axis=0), positions.max(axis=0)
-        h = 1e-5 * max(float(np.linalg.norm(hi - lo)), 1e-12)
+        h = 1e-5 * max(_diameter(positions), 1e-12)
         grad = np.zeros((self.n, self.dim))
         for start in range(0, self.n, _CHUNK):
             members = np.arange(start, min(start + _CHUNK, self.n))
@@ -149,23 +148,31 @@ def willmore_gradient(mesh):
     return _LocalEnergyModel(mesh).gradient(mesh.vertices)
 
 
+def _stationarity(gn, diameter, value):
+    """Scale-free stationarity measure: |grad| * diameter / |energy|."""
+    return float(gn * diameter / max(abs(value), 1e-30))
+
+
 def willmore_relative_gradient(mesh):
-    """Scale-free stationarity measure: |grad| * diameter / energy."""
+    """Scale-free stationarity measure of the bending energy."""
     g = willmore_gradient(mesh)
     value = willmore_energy(mesh, error_estimate=False).value
-    return float(np.linalg.norm(g) * mesh.bbox_diameter() / max(abs(value), 1e-30))
+    return _stationarity(np.linalg.norm(g), mesh.bbox_diameter(), value)
 
 
 # ---------------------------------------------------------------------------
 # descent drivers
 # ---------------------------------------------------------------------------
 
+# step halvings the line search tries before it gives up
+_HALVINGS = 40
 
-def _armijo(evaluate, x, g, e0, alpha0, halvings=40):
+
+def _armijo(evaluate, x, g, e0, alpha0):
     """Backtracking step along -g; returns (new_x, new_e, accepted)."""
     gg = float(np.sum(g * g))
     alpha = alpha0
-    for _ in range(halvings):
+    for _ in range(_HALVINGS):
         cand = x - alpha * g
         try:
             e = evaluate(cand)
@@ -204,7 +211,7 @@ def willmore_descent(mesh, steps=20, grad_tol=1e-6, move_scale=0.02):
         g = model.gradient(pos)
         gn = float(np.linalg.norm(g))
         gnorms.append(gn)
-        if gn * diameter / max(abs(energies[-1]), 1e-30) < grad_tol:
+        if _stationarity(gn, diameter, energies[-1]) < grad_tol:
             status = "stationary"
             break
         alpha0 = move_scale * diameter / max(np.linalg.norm(g, axis=1).max(), 1e-30)
@@ -264,7 +271,7 @@ def mobius_relative_gradient(link):
     g1, g2 = mobius_gradient(link)
     gn = float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2)))
     value = _cross_energy_sum(link.gamma1, link.gamma2)
-    return gn * link.diameter() / max(abs(value), 1e-30)
+    return _stationarity(gn, link.diameter(), value)
 
 
 def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
@@ -292,7 +299,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
     accepted = 0
     for _ in range(steps):
         stacked = np.vstack([g1, g2])
-        diameter = float(np.linalg.norm(stacked.max(axis=0) - stacked.min(axis=0)))
+        diameter = _diameter(stacked)
         if _min_gap(g1, g2) < collision_tol * diameter:
             status = "collision"
             break
@@ -300,7 +307,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
         d1, d2 = mobius_gradient(probe)
         gn = float(np.sqrt(np.sum(d1 * d1) + np.sum(d2 * d2)))
         gnorms.append(gn)
-        if gn * diameter / max(abs(energies[-1]), 1e-30) < grad_tol:
+        if _stationarity(gn, diameter, energies[-1]) < grad_tol:
             status = "stationary"
             break
         gstack = np.vstack([d1, d2])

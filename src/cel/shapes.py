@@ -12,7 +12,6 @@ import inspect
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import ParameterError, ResolutionError
 from .mesh import PolyLink, TriMesh
@@ -26,20 +25,6 @@ def _check_resolution(resolution):
     return int(resolution)
 
 
-def _signed_volume(vertices, faces):
-    a = vertices[faces[:, 0]]
-    b = vertices[faces[:, 1]]
-    c = vertices[faces[:, 2]]
-    return float(np.einsum("ij,ij->", a, np.cross(b, c))) / 6.0
-
-
-def _orient_outward(vertices, faces):
-    """Flip all faces if the enclosed signed volume is negative."""
-    if _signed_volume(vertices, faces) < 0.0:
-        faces = faces[:, [0, 2, 1]]
-    return faces
-
-
 def _icosahedron():
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     v = []
@@ -49,12 +34,12 @@ def _icosahedron():
             v.append((a, b, 0.0))
             v.append((b, 0.0, a))
     verts = np.array(v) / math.sqrt(1.0 + phi * phi)
-    hull = ConvexHull(verts)
-    faces = hull.simplices.astype(np.int64)
-    # hull simplices come with arbitrary winding; make each face outward
-    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), a) < 0.0
-    faces[flip] = faces[flip][:, [0, 2, 1]]
+    # the 20 outward faces of the hull of these vertices
+    faces = np.array([[0, 1, 2], [6, 2, 4], [6, 5, 0], [6, 0, 2], [7, 3, 1],
+                      [7, 0, 5], [7, 1, 0], [8, 4, 2], [8, 2, 1], [8, 1, 3],
+                      [8, 3, 9], [8, 9, 4], [10, 4, 9], [10, 6, 4], [10, 5, 6],
+                      [11, 7, 5], [11, 9, 3], [11, 3, 7], [11, 10, 9], [11, 5, 10]],
+                     dtype=np.int64)
     return verts, faces
 
 
@@ -144,8 +129,8 @@ def tube_torus(big_radius=2.0, tube_radius=1.0, resolution=32):
     ring = big_radius + tube_radius * np.cos(uu)
     verts = np.stack([ring * np.cos(vv), ring * np.sin(vv),
                       tube_radius * np.sin(uu)], axis=-1).reshape(-1, 3)
-    faces = _grid_torus_faces(verts, n)
-    faces = _orient_outward(verts, faces)
+    # the (u, v) grid winds inward for every 0 < r < R; reverse it
+    faces = _grid_torus_faces(verts, n)[:, [0, 2, 1]]
     return TriMesh(verts, faces, ambient="R3",
                    recipe=("tube_torus", {"big_radius": big_radius,
                                           "tube_radius": tube_radius}, resolution))

@@ -246,3 +246,46 @@ def test_conformal_on_a_bad_dilation_exits_2(tmp_path, capsys, extra):
     capsys.readouterr()
     assert main(["conformal-test", mesh, *extra]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def _drop_face(verts, faces):
+    return verts, faces[1:]
+
+
+def _rewind_face(verts, faces):
+    a, b, c = faces[5].split()[1:]
+    return verts, faces[:5] + [f"f {a} {c} {b}"] + faces[6:]
+
+
+def _second_sphere(verts, faces):
+    shifted = [" ".join(["v"] + [repr(float(x) + 3.0) for x in line.split()[1:]])
+               for line in verts]
+    offset = [" ".join(["f"] + [str(int(i) + len(verts)) for i in line.split()[1:]])
+              for line in faces]
+    return verts + shifted, faces + offset
+
+
+def _unreferenced_vertex(verts, faces):
+    return verts + ["v 5 5 5"], faces
+
+
+@pytest.mark.parametrize("command", ["energy", "laplace"])
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_face, "not closed"),
+    (_rewind_face, "face windings are not consistent"),
+    (_second_sphere, "not connected"),
+    (_unreferenced_vertex, "not connected"),
+])
+def test_broken_mesh_file_exits_2(tmp_path, capsys, corrupt, message, command):
+    mesh = str(tmp_path / "s.obj")
+    main(["generate", "sphere", "--resolution", "8", "-o", mesh])
+    with open(mesh) as fh:
+        lines = fh.read().splitlines()
+    verts, faces = corrupt([ln for ln in lines if ln.startswith("v ")],
+                           [ln for ln in lines if ln.startswith("f ")])
+    with open(mesh, "w") as fh:
+        fh.write("\n".join(verts + faces) + "\n")
+    capsys.readouterr()
+    assert main([command, mesh]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -1,5 +1,10 @@
 """Meshes, links, file round trips, and the stereographic charts."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +19,13 @@ from cel.energies import gauss_map_torus
 from cel.fixtures import genus2_surface
 from cel.mesh import _pair_tiles
 from cel.projection import stereographic, stereographic_inverse
-from cel.shapes import (_grid_torus_faces, _icosahedron, _icosphere,
-                        _orient_outward, _signed_volume)
+from cel.shapes import _grid_torus_faces, _icosahedron, _icosphere
+
+
+def _signed_volume(vertices, faces):
+    """Volume enclosed by a closed R^3 mesh, positive when it winds outward."""
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    return float(np.einsum("ij,ij->", a, np.cross(b, c))) / 6.0
 
 
 def test_mesh_validate_all_kinds():
@@ -121,8 +131,7 @@ def _reference_icosphere(freq):
                                   grid[(i, j + 1)]))
     verts = np.array(verts)
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    faces = np.array(faces, dtype=np.int64)
-    return verts, _orient_outward(verts, faces)
+    return verts, np.array(faces, dtype=np.int64)
 
 
 @pytest.mark.parametrize("freq", [8, 9, 13, 16, 32, 64, 96])
@@ -136,6 +145,52 @@ def test_icosphere_matches_point_by_point_reference(freq):
     assert verts.tobytes() == ref_verts.tobytes()
     np.testing.assert_array_equal(faces, ref_faces)
     assert _signed_volume(verts, faces) > 0.0
+
+
+def test_icosahedron_table_is_a_closed_outward_icosahedron():
+    verts, faces = _icosahedron()
+    mesh = TriMesh(verts, faces).validate()
+    assert euler_genus(mesh) == 0
+    assert np.array_equal(np.bincount(faces.ravel()), np.full(12, 5))
+    a, b, c = (verts[faces[:, k]] for k in range(3))
+    assert np.all(np.einsum("ij,ij->i", np.cross(b - a, c - a), a + b + c) > 0.0)
+
+
+def _rotations(faces):
+    """Oriented faces as tuples, each rotated to start at its smallest index."""
+    first = np.argmin(faces, axis=1)[:, None]
+    return {tuple(row) for row in np.take_along_axis(
+        faces, (first + np.arange(3)) % 3, axis=1)}
+
+
+def test_icosahedron_table_matches_the_convex_hull():
+    from scipy.spatial import ConvexHull
+
+    verts, faces = _icosahedron()
+    hull = ConvexHull(verts).simplices.astype(np.int64)
+    a, b, c = (verts[hull[:, k]] for k in range(3))
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), a) < 0.0
+    hull[inward] = hull[inward][:, [0, 2, 1]]
+    assert len(faces) == 20
+    assert _rotations(faces) == _rotations(hull)
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 33])
+@pytest.mark.parametrize("big, tube", [(1.01, 1.0), (2.0, 1.0), (10.0, 0.01)])
+def test_tube_torus_winds_outward(big, tube, resolution):
+    mesh = cel.tube_torus(big, tube, resolution).validate()
+    assert _signed_volume(mesh.vertices, mesh.faces) > 0.0
+
+
+def test_import_leaves_scipy_spatial_out():
+    src = str(pathlib.Path(cel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cel; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_genus2_surface_is_pinned():

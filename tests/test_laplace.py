@@ -2,9 +2,58 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from cel import (ParameterError, cotan_stiffness, laplace_minmax, lumped_mass,
-                 make_shape)
+from cel import (ParameterError, cotan_stiffness, ellipsoid_s3, genus2_surface,
+                 laplace_minmax, lumped_mass, make_shape, perturb_mesh)
+
+
+def _reference_stiffness(mesh):
+    """Corner-by-corner assembly from lists of COO triplets."""
+    verts, faces = mesh.vertices, mesh.faces
+    rows, cols, vals = [], [], []
+    for c in range(3):
+        i = faces[:, (c + 1) % 3]
+        j = faces[:, (c + 2) % 3]
+        k = faces[:, c]
+        u = verts[i] - verts[k]
+        v = verts[j] - verts[k]
+        uu = np.einsum("ij,ij->i", u, u)
+        vv = np.einsum("ij,ij->i", v, v)
+        uv = np.einsum("ij,ij->i", u, v)
+        cot = uv / np.sqrt(np.maximum(uu * vv - uv * uv, 1e-300))
+        half = 0.5 * cot
+        rows.extend([i, j, i, j])
+        cols.extend([j, i, i, j])
+        vals.extend([-half, -half, half, half])
+    n = mesh.vertex_count
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def _reference_mass(mesh):
+    """Barycentric mass added one face column at a time."""
+    areas = mesh.face_areas() / 3.0
+    m = np.zeros(mesh.vertex_count)
+    for c in range(3):
+        np.add.at(m, mesh.faces[:, c], areas)
+    return m
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_shape("sphere", resolution=16),
+    lambda: make_shape("clifford_torus", resolution=24),
+    lambda: perturb_mesh(make_shape("tube_torus", resolution=20), 1e-3, seed=3),
+    lambda: genus2_surface(resolution=16),
+    lambda: ellipsoid_s3(resolution=12),
+], ids=["sphere", "clifford", "perturbed_tube", "genus2", "ellipsoid_s3"])
+def test_assembly_matches_the_loop_reference(build):
+    mesh = build()
+    got, want = cotan_stiffness(mesh), _reference_stiffness(mesh)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert lumped_mass(mesh).diagonal().tobytes() == _reference_mass(mesh).tobytes()
 
 
 def test_flat_torus_spectrum_is_exact(clifford32):
