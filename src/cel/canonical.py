@@ -53,28 +53,29 @@ def _check_s3_field(mesh, field):
     return field
 
 
+def _jacobian(field, t):
+    """Unclamped parallel-area Jacobian, (T, V) for a (T, 1) column t."""
+    return (np.cos(t) - field.k1 * np.sin(t)) * (np.cos(t) - field.k2 * np.sin(t))
+
+
 def _clamped_jacobian(field, t):
-    """Per-vertex parallel-area Jacobian with focal-time memory.
+    """Per-vertex parallel-area Jacobian with focal-time memory, (T, V) for
+    a (T, 1) column of times t.
 
     atan2(1, k) is the first positive zero of cos t - k sin t; the same
     factor vanishes again at atan2(1, k) - pi on the negative side. Between
     those two crossings the vertex carries J, outside it carries nothing.
     """
     k1, k2 = field.k1, field.k2
-    jac = (np.cos(t) - k1 * np.sin(t)) * (np.cos(t) - k2 * np.sin(t))
     first_pos = np.minimum(np.arctan2(1.0, k1), np.arctan2(1.0, k2))
     first_neg = np.maximum(np.arctan2(1.0, k1), np.arctan2(1.0, k2)) - np.pi
     live = (t > first_neg) & (t < first_pos)
-    return np.where(live, jac, 0.0)
+    return np.where(live, _jacobian(field, t), 0.0)
 
 
 def parallel_area(mesh, field=None, t=0.0):
     """Mass of the surface marched a signed time t along its normal."""
-    field = _check_s3_field(mesh, field)
-    t = float(t)
-    if not abs(t) <= np.pi:
-        raise ParameterError("parallel time must lie in [-pi, pi]")
-    return stable_sum(_clamped_jacobian(field, t) * field.weight)
+    return float(parallel_area_curve(mesh, field, [float(t)]).areas[0])
 
 
 def parallel_area_curve(mesh, field=None, t_grid=None, v=None):
@@ -87,8 +88,8 @@ def parallel_area_curve(mesh, field=None, t_grid=None, v=None):
         raise ParameterError("the t grid needs at least one point")
     if not np.all(np.abs(t_grid) <= np.pi):
         raise ParameterError("parallel times must lie in [-pi, pi]")
-    areas = np.array([stable_sum(_clamped_jacobian(field, t) * field.weight)
-                      for t in t_grid])
+    mass = _clamped_jacobian(field, t_grid.reshape(-1, 1)) * field.weight
+    areas = np.array([stable_sum(row) for row in mass])
     source = mesh.recipe[0] if mesh.recipe is not None else "mesh"
     return ParallelAreaCurve(t_grid=t_grid, areas=areas, source=source,
                              v=None if v is None else np.asarray(v, dtype=np.float64))

@@ -25,6 +25,10 @@ padded fan entry names one slot twice, a triangle with zero cross product
 and zero area. Every row pays the width of the largest two-ring, which is
 cheap on the near-regular meshes the generators make (valence 5 to 7).
 
+The full-mesh estimate fits blocks of `_FIT_ROWS` vertices, which bounds its
+memory. Every block keeps the global width m_max: batched products reduce in
+an order set by their inner size, and a narrower block would change bits.
+
 Sign convention: curvatures are reported with respect to the face-winding
 normal so that the unit round sphere with outward winding has k1 = k2 = +1.
 """
@@ -91,6 +95,8 @@ def _stencils(mesh):
     each incident face, in winding order, by their slots in the two-ring
     row. Padded fan slots name slot 0 twice, a degenerate triangle.
     """
+    if mesh.face_count == 0:
+        raise MeshQualityError("mesh has no faces")
     two = _two_ring(mesh)
     indptr, indices = two.indptr, two.indices
     n = mesh.vertex_count
@@ -112,6 +118,7 @@ def _stencils(mesh):
 
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_FIT_ROWS = 2048    # vertices per block of the full-mesh estimate
 
 
 def _cross(u, w):
@@ -133,9 +140,11 @@ def _tangent_pair(normals):
     return e1, e2
 
 
-def _s3_tangent_basis(verts):
-    """Per-vertex orthonormal basis of the tangent space p-perp in R^4,
-    built by Gram-Schmidt over the three axes least aligned with p."""
+def _tangent_bases(verts, ambient):
+    """Per-vertex orthonormal bases (V, 3, 4) of the S^3 tangent spaces p-perp,
+    by Gram-Schmidt over the three axes least aligned with p; None in R^3."""
+    if ambient != "S3":
+        return None
     V = len(verts)
     order = np.argsort(np.abs(verts), axis=1, kind="stable")
     basis = np.zeros((V, 3, 4))
@@ -277,24 +286,28 @@ def _quadric_fit(local, frame_n, counts):
 def estimate_curvatures(mesh):
     """Estimate a CurvatureField for a closed mesh in R^3 or on S^3."""
     ring, counts, fan = _stencils(mesh)
-    basis = _s3_tangent_basis(mesh.vertices) if mesh.ambient == "S3" else None
-    local, diff = _ring_coords(mesh.vertices, np.arange(mesh.vertex_count), ring, basis)
-    frame_n, weight = _fan_sums(local, diff, fan)
-    (a1, a2), (s11, s12, s21, s22), (e1, e2) = _quadric_fit(local, frame_n, counts)
+    pts, n, blocks = mesh.vertices, mesh.vertex_count, []
+    for start in range(0, n, _FIT_ROWS):
+        rows = np.arange(start, min(start + _FIT_ROWS, n))
+        basis = _tangent_bases(pts[rows], mesh.ambient)
+        local, diff = _ring_coords(pts, rows, ring, basis)
+        frame_n, weight = _fan_sums(local, diff, fan[rows])
+        (a1, a2), (s11, s12, s21, s22), (e1, e2) = _quadric_fit(local, frame_n, counts[rows])
 
-    # sign convention: eigenvalues of minus the Monge-patch shape operator,
-    # so the outward-wound unit sphere reports +1; the discriminant
-    # tr^2 - 4 det is expanded so that it does not cancel at umbilics
-    tr = -(s11 + s22)
-    disc = np.sqrt(np.maximum((s11 - s22) ** 2 + 4.0 * s12 * s21, 0.0))
-    k1 = 0.5 * (tr + disc)
-    k2 = 0.5 * (tr - disc)
+        # sign convention: eigenvalues of minus the Monge-patch shape operator,
+        # so the outward-wound unit sphere reports +1; the discriminant
+        # tr^2 - 4 det is expanded so that it does not cancel at umbilics
+        tr = -(s11 + s22)
+        disc = np.sqrt(np.maximum((s11 - s22) ** 2 + 4.0 * s12 * s21, 0.0))
+        k1 = 0.5 * (tr + disc)
+        k2 = 0.5 * (tr - disc)
 
-    # refine the normal with the fitted gradient
-    normal = frame_n - a1[:, None] * e1 - a2[:, None] * e2
-    normal /= np.linalg.norm(normal, axis=1)[:, None]
-    if basis is not None:
-        normal = np.einsum("vk,vkd->vd", normal, basis)
+        # refine the normal with the fitted gradient
+        normal = frame_n - a1[:, None] * e1 - a2[:, None] * e2
         normal /= np.linalg.norm(normal, axis=1)[:, None]
-
+        if basis is not None:
+            normal = np.einsum("vk,vkd->vd", normal, basis)
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+        blocks.append((k1, k2, normal, weight))
+    k1, k2, normal, weight = map(np.concatenate, zip(*blocks))
     return CurvatureField(k1=k1, k2=k2, normal=normal, weight=weight)

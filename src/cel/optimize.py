@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import (_chart, _fan_sums, _quadric_fit, _ring_coords,
-                        _s3_tangent_basis, _stencils)
+                        _stencils, _tangent_bases)
 from .energies import _cross_energy_sum, _resample_closed, willmore_energy
 from .errors import InputError, MeshQualityError, ParameterError
 from .mesh import PolyLink, _diameter, _min_gap, _pair_tiles, _segments
@@ -75,12 +75,7 @@ class _LocalEnergyModel:
 
     def __init__(self, mesh):
         self.ambient = mesh.ambient
-        self.dim = mesh.vertices.shape[1]
-        self.n = mesh.vertex_count
         self.ring, self.counts, self.fan = _stencils(mesh)
-
-    def _basis(self, pts):
-        return _s3_tangent_basis(pts) if self.ambient == "S3" else None
 
     def _terms(self, local, diff, fan, counts):
         """Energy term (H^2 w, plus area weight w itself on S^3) of each
@@ -94,15 +89,16 @@ class _LocalEnergyModel:
         """Energy term of each vertex in `rows` at the given positions; the
         same fit as the full-mesh curvature estimate."""
         local, diff = _ring_coords(positions, rows, self.ring,
-                                   self._basis(positions[rows]))
+                                   _tangent_bases(positions[rows], self.ambient))
         return self._terms(local, diff, self.fan[rows], self.counts[rows])
 
     def gradient(self, positions):
         """Central-difference gradient of the total energy, (V, dim)."""
+        n, dim = positions.shape
         h = 1e-5 * max(_diameter(positions), 1e-12)
-        grad = np.zeros((self.n, self.dim))
-        for start in range(0, self.n, _CHUNK):
-            members = np.arange(start, min(start + _CHUNK, self.n))
+        grad = np.zeros((n, dim))
+        for start in range(0, n, _CHUNK):
+            members = np.arange(start, min(start + _CHUNK, n))
             # each member's row copies: its own row, then its two-ring
             sizes = self.counts[members] + 1
             lead = np.cumsum(sizes) - sizes
@@ -112,7 +108,7 @@ class _LocalEnergyModel:
             rest = np.delete(np.arange(len(rows)), lead)
             owner = np.repeat(np.arange(len(members)), sizes)[rest]
 
-            basis = self._basis(positions[rows])
+            basis = _tangent_bases(positions[rows], self.ambient)
             local, diff = _ring_coords(positions, rows, self.ring, basis)
             fan, counts = self.fan[rows], self.counts[rows]
             # every other row sees its member at exactly one two-ring slot;
@@ -123,14 +119,15 @@ class _LocalEnergyModel:
             rest_basis = None if basis is None else basis[rest]
             nbr_pts, pad = positions[nbr], nbr == members[:, None]
 
-            for axis in range(self.dim):
+            for axis in range(dim):
                 sums = []
                 for sign in (1.0, -1.0):
                     moved = positions[members]
                     moved[:, axis] += sign * h
                     if self.ambient == "S3":
                         moved /= np.linalg.norm(moved, axis=1)[:, None]
-                    own_local, own_diff = _chart(moved, nbr_pts, self._basis(moved))
+                    own_local, own_diff = _chart(
+                        moved, nbr_pts, _tangent_bases(moved, self.ambient))
                     own_local[pad] = 0.0
                     local[lead], diff[lead] = own_local, own_diff
                     moved_local, moved_diff = _chart(

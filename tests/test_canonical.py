@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cel import (GeometryError, InputError, ParameterError,
-                 canonical_family_area, hk_verify, make_shape, parallel_area,
-                 parallel_area_curve, willmore_energy)
+                 canonical_family_area, estimate_curvatures, hk_verify,
+                 make_shape, parallel_area, parallel_area_curve,
+                 willmore_energy)
+from cel._accum import stable_sum
 from cel.fixtures import ellipsoid_s3
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -25,6 +27,34 @@ def test_clifford_parallel_curve_is_cos_2t(clifford32):
     np.testing.assert_allclose(curve.areas, want, atol=0.12 * clifford32.area())
     assert float(np.max(curve.areas)) == pytest.approx(clifford32.area(),
                                                        rel=2e-2)
+
+
+def _scalar_t_area(field, t):
+    """Parallel area at one scalar time, the clamped Jacobian written out."""
+    k1, k2 = field.k1, field.k2
+    jac = (np.cos(t) - k1 * np.sin(t)) * (np.cos(t) - k2 * np.sin(t))
+    first_pos = np.minimum(np.arctan2(1.0, k1), np.arctan2(1.0, k2))
+    first_neg = np.maximum(np.arctan2(1.0, k1), np.arctan2(1.0, k2)) - np.pi
+    return stable_sum(np.where((t > first_neg) & (t < first_pos), jac, 0.0)
+                      * field.weight)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_shape("clifford_torus", resolution=16),
+    lambda: make_shape("geodesic_sphere", resolution=16,
+                       center=(1, 0, 0, 0), radius=np.pi / 3),
+    lambda: ellipsoid_s3(resolution=16),
+], ids=["clifford", "geo_sphere", "ellipsoid"])
+def test_parallel_area_curve_is_the_pointwise_area_bit_for_bit(build):
+    # one (T, V) pass must round like a scalar time, whatever path the
+    # array cos and sin loops take
+    mesh = build()
+    field = estimate_curvatures(mesh)
+    grid = np.linspace(-np.pi, np.pi, 33)
+    areas = parallel_area_curve(mesh, field, grid).areas
+    for t, area in zip(grid, areas):
+        assert area == parallel_area(mesh, field, t), t
+        assert area == _scalar_t_area(field, float(t)), t
 
 
 def test_geodesic_sphere_family_max_is_energy():

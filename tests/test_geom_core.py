@@ -16,7 +16,7 @@ from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
                  ParameterError, PolyLink, TriMesh, euler_genus, load_link,
                  load_obj, make_shape, save_link, save_obj)
 from cel.energies import gauss_map_torus
-from cel.fixtures import genus2_surface
+from cel.fixtures import genus2_surface, perturb_mesh
 from cel.mesh import _pair_tiles
 from cel.projection import stereographic, stereographic_inverse
 from cel.shapes import _grid_torus_faces, _icosahedron, _icosphere
@@ -182,15 +182,18 @@ def test_tube_torus_winds_outward(big, tube, resolution):
     assert _signed_volume(mesh.vertices, mesh.faces) > 0.0
 
 
-def test_import_leaves_scipy_spatial_out():
+def _fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports this cel."""
     src = str(pathlib.Path(cel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cel; print('scipy.spatial' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_leaves_scipy_spatial_out():
+    out = _fresh_python("import sys, cel; print('scipy.spatial' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_genus2_surface_is_pinned():
@@ -347,6 +350,52 @@ def test_curvatures_of_reference_surfaces(sphere16, clifford32):
     np.testing.assert_allclose(f.k1, 1.0, atol=0.05)
     np.testing.assert_allclose(f.k2, -1.0, atol=0.05)
     assert f.total_area() == pytest.approx(clifford32.area())
+
+
+def _block_meshes():
+    for kind in cel.MESH_KINDS:
+        kw = (dict(center=(0, 0, 1, 0), radius=0.8)
+              if kind == "geodesic_sphere" else {})
+        for res in (8, 16, 32):
+            yield pytest.param(lambda kind=kind, res=res, kw=kw: make_shape(
+                kind, resolution=res, **kw), id=f"{kind}{res}")
+    yield pytest.param(genus2_surface, id="genus2")
+    yield pytest.param(lambda: perturb_mesh(make_shape(
+        "clifford_torus", resolution=16), 0.1, seed=3), id="perturbed_clifford")
+
+
+@pytest.mark.parametrize("build", _block_meshes())
+def test_curvatures_do_not_depend_on_the_fit_block_size(build, monkeypatch):
+    # every block keeps the global stencil width, so each row's fit is the
+    # same arithmetic in any block
+    mesh = build()
+    want = cel.estimate_curvatures(mesh)
+    sizes = (7, 512, mesh.vertex_count) + ((1,) if mesh.vertex_count <= 700 else ())
+    for rows in sizes:
+        monkeypatch.setattr(cel.curvature, "_FIT_ROWS", rows)
+        got = cel.estimate_curvatures(mesh)
+        for name in ("k1", "k2", "normal", "weight"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (rows, name)
+
+
+def test_curvature_fit_memory_is_bounded():
+    # one fit of sphere(96), V = 92,162, held about 330 MB as a single batch
+    grown = _fresh_python(
+        "import resource; from cel import sphere, willmore_energy\n"
+        "mesh = sphere(resolution=96)\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "willmore_energy(mesh, error_estimate=False)\n"
+        "print((peak() - before) / 1024.0)")
+    assert float(grown) < 100.0
+
+
+def test_faceless_mesh_raises_a_typed_error():
+    mesh = TriMesh(cel.sphere(resolution=8).vertices, np.zeros((0, 3), int))
+    for fn in (cel.estimate_curvatures, cel.willmore_energy,
+               cel.willmore_relative_gradient):
+        with pytest.raises(MeshQualityError, match="mesh has no faces"):
+            fn(mesh)
 
 
 @settings(deadline=None, max_examples=60)
