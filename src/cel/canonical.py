@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._accum import stable_sum
+from ._accum import stable_sum, unit_directions
 from .conformal import dilate_mesh
 from .curvature import estimate_curvatures
 from .energies import willmore_energy
@@ -43,6 +43,11 @@ class HKReport(NamedTuple):
     t_at_max: float
 
 
+# (time, vertex) entries per block of parallel_area_curve, so its working
+# set stays a few (rows, V) arrays of about 2 MB whatever the grid length
+_AREA_ENTRIES = 1 << 18
+
+
 def _check_s3_field(mesh, field):
     if mesh.ambient != "S3":
         raise InputError("parallel surfaces are defined for S3 meshes")
@@ -56,21 +61,6 @@ def _check_s3_field(mesh, field):
 def _jacobian(field, t):
     """Unclamped parallel-area Jacobian, (T, V) for a (T, 1) column t."""
     return (np.cos(t) - field.k1 * np.sin(t)) * (np.cos(t) - field.k2 * np.sin(t))
-
-
-def _clamped_jacobian(field, t):
-    """Per-vertex parallel-area Jacobian with focal-time memory, (T, V) for
-    a (T, 1) column of times t.
-
-    atan2(1, k) is the first positive zero of cos t - k sin t; the same
-    factor vanishes again at atan2(1, k) - pi on the negative side. Between
-    those two crossings the vertex carries J, outside it carries nothing.
-    """
-    k1, k2 = field.k1, field.k2
-    first_pos = np.minimum(np.arctan2(1.0, k1), np.arctan2(1.0, k2))
-    first_neg = np.maximum(np.arctan2(1.0, k1), np.arctan2(1.0, k2)) - np.pi
-    live = (t > first_neg) & (t < first_pos)
-    return np.where(live, _jacobian(field, t), 0.0)
 
 
 def parallel_area(mesh, field=None, t=0.0):
@@ -88,8 +78,21 @@ def parallel_area_curve(mesh, field=None, t_grid=None, v=None):
         raise ParameterError("the t grid needs at least one point")
     if not np.all(np.abs(t_grid) <= np.pi):
         raise ParameterError("parallel times must lie in [-pi, pi]")
-    mass = _clamped_jacobian(field, t_grid.reshape(-1, 1)) * field.weight
-    areas = np.array([stable_sum(row) for row in mass])
+    # focal-time memory: atan2(1, k) is the first positive zero of
+    # cos t - k sin t, and the same factor vanishes again at atan2(1, k) - pi
+    # on the negative side; a vertex carries J between those two crossings
+    # and nothing outside them
+    k1, k2 = field.k1, field.k2
+    first_pos = np.minimum(np.arctan2(1.0, k1), np.arctan2(1.0, k2))
+    first_neg = np.maximum(np.arctan2(1.0, k1), np.arctan2(1.0, k2)) - np.pi
+    times = t_grid.reshape(-1, 1)
+    rows = max(1, _AREA_ENTRIES // mesh.vertex_count)
+    areas = np.empty(len(times))
+    for start in range(0, len(times), rows):
+        t = times[start:start + rows]
+        live = (t > first_neg) & (t < first_pos)
+        mass = np.where(live, _jacobian(field, t), 0.0) * field.weight
+        areas[start:start + rows] = [stable_sum(row) for row in mass]
     source = mesh.recipe[0] if mesh.recipe is not None else "mesh"
     return ParallelAreaCurve(t_grid=t_grid, areas=areas, source=source,
                              v=None if v is None else np.asarray(v, dtype=np.float64))
@@ -113,7 +116,7 @@ def canonical_family_curve(mesh, v, t_grid):
     return parallel_area_curve(image, field, t_grid, v=v)
 
 
-def hk_verify(mesh, v_grid=None, t_grid=None, vmax=0.5, vsteps=5, tsteps=33):
+def hk_verify(mesh, vmax=0.5, vsteps=5, tsteps=33):
     """Sup of the family area against the Willmore energy.
 
     The sup over the (v, t) grid can exceed the energy only by
@@ -123,36 +126,21 @@ def hk_verify(mesh, v_grid=None, t_grid=None, vmax=0.5, vsteps=5, tsteps=33):
     """
     if mesh.ambient != "S3":
         raise InputError("the family comparison runs on S3 meshes")
-    if v_grid is None:
-        from ._accum import unit_directions
-
-        if not 0.0 <= vmax <= 0.7:
-            raise ParameterError("vmax must lie in [0, 0.7]")
-        if vsteps < 1:
-            raise ParameterError("vsteps must be positive")
-        dirs = unit_directions(vsteps, 4, seed=0)
-        strengths = np.linspace(0.0, vmax, vsteps)
-        v_grid = [s * d for s in strengths for d in dirs]
-    v_grid = [np.asarray(v, dtype=np.float64) for v in v_grid]
-    if any(np.linalg.norm(v) > 0.7 + 1e-12 for v in v_grid):
-        raise ParameterError("dilation strengths above 0.7 need manual refinement")
-    if t_grid is None:
-        if tsteps < 1:
-            raise ParameterError("tsteps must be positive")
-        t_grid = np.linspace(-np.pi, np.pi, tsteps)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if not v_grid or t_grid.size == 0:
-        raise ParameterError("the v and t grids need at least one point each")
+    if not 0.0 <= vmax <= 0.7:
+        raise ParameterError("vmax must lie in [0, 0.7]")
+    if vsteps < 1:
+        raise ParameterError("vsteps must be positive")
+    if tsteps < 1:
+        raise ParameterError("tsteps must be positive")
+    dirs = unit_directions(vsteps, 4, seed=0)
+    # v = 0 is the same member in every direction, so it is evaluated once
+    v_grid = [0.0 * dirs[0]] + [s * d for s in np.linspace(0.0, vmax, vsteps)
+                                if s > 0.0 for d in dirs]
+    t_grid = np.linspace(-np.pi, np.pi, tsteps)
 
     energy = willmore_energy(mesh)
     best = (-np.inf, None, None)
-    # v = 0 repeats across directions; evaluate each distinct v once
-    seen = set()
     for v in v_grid:
-        key = tuple(np.round(v, 15))
-        if key in seen:
-            continue
-        seen.add(key)
         curve = canonical_family_curve(mesh, v, t_grid)
         i = int(np.argmax(curve.areas))
         if curve.areas[i] > best[0]:

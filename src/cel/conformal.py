@@ -126,7 +126,7 @@ def dilate_mesh(mesh, v):
 
 def dilate_link(link, v):
     """Conformal image of an R^4 link on the three-sphere."""
-    if not link.on_sphere(tol=1e-9):
+    if not link.on_sphere():
         raise InputError("dilations act on links lying on S^3")
     d = ConformalDilation(np.asarray(v, dtype=np.float64))
     return PolyLink(apply_dilation(d, link.gamma1), apply_dilation(d, link.gamma2))
@@ -163,7 +163,7 @@ def g_family(link, v, lam):
     """
     from .energies import gauss_map_torus
 
-    if link.dim != 4 or not link.on_sphere(tol=1e-9):
+    if link.dim != 4 or not link.on_sphere():
         raise InputError("g_family needs a link on the three-sphere")
     if lam <= 0.0:
         raise ParameterError("scale factor must be positive")
@@ -198,6 +198,8 @@ def g_family(link, v, lam):
 
 # sample count past which _dense_image_samples stops bisecting
 _MAX_IMAGE_SAMPLES = 400000
+# dilation strengths of radial_limit_check, increasing toward the blow-up
+_BLOWUP_STRENGTHS = (0.9, 0.99, 0.999)
 
 
 def _geodesic_midpoints(a, b):
@@ -244,35 +246,29 @@ def _dense_image_samples(mesh, map_fn, pole, target):
     return img
 
 
-def radial_limit_check(mesh, vertex, s_values=(0.9, 0.99, 0.999), field=None):
+def radial_limit_check(mesh, vertex):
     """Distance of the blown-up surface to its tangent great sphere.
 
     Dilating toward a surface point p with strength s -> 1 flattens the
     surface onto the great sphere orthogonal to the surface normal at p. For
-    each s the report records the maximum geodesic distance of image samples
-    to that great sphere; the sequence must not increase (a rise past the
-    sampling floor raises GeometryError). Source edges are bisected until
-    the image is sampled at the source mesh's own edge scale.
+    each s in `_BLOWUP_STRENGTHS` the report records the maximum geodesic
+    distance of image samples to that great sphere; the sequence must not
+    increase (a rise past the sampling floor raises GeometryError). Source
+    edges are bisected until the image is sampled at the source mesh's own
+    edge scale.
     """
     if mesh.ambient != "S3":
         raise InputError("radial limits are defined for S3 meshes")
     if not 0 <= vertex < mesh.vertex_count:
         raise InputError("vertex index out of range")
-    if field is None:
-        field = estimate_curvatures(mesh)
-    if len(field.k1) != mesh.vertex_count:
-        raise InputError("curvature field does not match the mesh")
-    s_values = tuple(float(s) for s in s_values)
-    if any(not 0.0 < s < 1.0 for s in s_values):
-        raise ParameterError("dilation strengths must lie in (0, 1)")
 
     p = mesh.vertices[vertex]
-    nu = field.normal[vertex]
+    nu = estimate_curvatures(mesh).normal[vertex]
     nu = nu / np.linalg.norm(nu)
     edge_scale = float(np.mean(mesh.edge_lengths()))
 
     distances = []
-    for s in s_values:
+    for s in _BLOWUP_STRENGTHS:
         dil = ConformalDilation(s * p)
         img = _dense_image_samples(mesh, lambda x: apply_dilation(dil, x),
                                    pole=-p, target=edge_scale)
@@ -287,5 +283,5 @@ def radial_limit_check(mesh, vertex, s_values=(0.9, 0.99, 0.999), field=None):
             raise GeometryError(
                 f"blow-up distance rose from {earlier:.3g} to {later:.3g}; "
                 "expected decay toward the tangent great sphere")
-    return RadialLimitReport(s_values=s_values, distances=tuple(distances),
-                             edge_scale=edge_scale)
+    return RadialLimitReport(s_values=_BLOWUP_STRENGTHS,
+                             distances=tuple(distances), edge_scale=edge_scale)

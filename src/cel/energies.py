@@ -74,24 +74,16 @@ def _willmore_sum(mesh, field):
     return stable_sum(h2 * field.weight)
 
 
-def willmore_energy(mesh, field=None, error_estimate=True):
+def willmore_energy(mesh, error_estimate=True):
     """Total squared mean curvature of a closed mesh.
 
     In R^3 this is sum_v H_v^2 w_v; in the three-sphere the integrand is
-    1 + H^2, the form that stays conformally invariant there. If `field` is
-    omitted it is computed from the mesh. A field passed in must match the
-    mesh (vertex count, ambient dimension, total area). error_estimate=False
-    skips the half-resolution recomputation; parameter sweeps that only rank
-    values do not need it.
+    1 + H^2, the form that stays conformally invariant there. The curvature
+    field is estimated from the mesh. error_estimate=False skips the
+    half-resolution recomputation; parameter sweeps that only rank values do
+    not need it.
     """
-    if field is None:
-        field = estimate_curvatures(mesh)
-    if len(field.k1) != mesh.vertex_count or field.normal.shape[1] != mesh.vertices.shape[1]:
-        raise InputError("curvature field does not match the mesh")
-    if abs(field.total_area() - mesh.area()) > 1e-8 * max(mesh.area(), 1.0):
-        raise InputError("curvature field weights disagree with the mesh area")
-
-    value = _willmore_sum(mesh, field)
+    value = _willmore_sum(mesh, estimate_curvatures(mesh))
     error = None
     if error_estimate and mesh.recipe is not None:
         kind, params, res = mesh.recipe

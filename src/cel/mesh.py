@@ -102,10 +102,9 @@ class TriMesh:
     def bbox_diameter(self):
         return _diameter(self.vertices)
 
-    def with_vertices(self, vertices, keep_recipe=False):
-        """Copy of the mesh with replaced vertex coordinates."""
-        return TriMesh(vertices, self.faces.copy(), ambient=self.ambient,
-                       recipe=self.recipe if keep_recipe else None)
+    def with_vertices(self, vertices):
+        """Copy of the mesh with replaced vertex coordinates and no recipe."""
+        return TriMesh(vertices, self.faces.copy(), ambient=self.ambient)
 
     def validate(self):
         """Full structural check. Raises MeshQualityError on failure."""
@@ -149,6 +148,7 @@ def euler_genus(mesh):
 
 
 _TILE_PAIRS = 1 << 16    # point pairs per tile of _pair_tiles
+_SPHERE_TOL = 1e-9       # largest | |x| - 1 | of a PolyLink on S^3
 
 
 def _segments(g):
@@ -227,11 +227,11 @@ class PolyLink:
     def diameter(self):
         return _diameter(np.vstack([self.gamma1, self.gamma2]))
 
-    def on_sphere(self, tol=1e-9):
+    def on_sphere(self):
         if self.dim != 4:
             return False
         norms = np.linalg.norm(np.vstack([self.gamma1, self.gamma2]), axis=1)
-        return bool(np.max(np.abs(norms - 1.0)) <= tol)
+        return bool(np.max(np.abs(norms - 1.0)) <= _SPHERE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -271,15 +271,20 @@ def mobius_relative_gradient(link):
     return _stationarity(gn, link.diameter(), value)
 
 
-def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
-                   resample_every=50, collision_tol=1e-3):
+# accepted link steps between resamplings, and the closest approach of the
+# components, as a fraction of the link diameter, that counts as a collision
+_RESAMPLE_EVERY = 50
+_COLLISION_TOL = 1e-3
+
+
+def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02):
     """Gradient descent on the cross energy of an R^3 link.
 
-    Every `resample_every` accepted steps the curves are resampled to
+    Every `_RESAMPLE_EVERY` accepted steps the curves are resampled to
     uniform parameter spacing, but only if that does not raise the energy;
     degenerating segment lengths otherwise stall the quadrature. Descent
     stops with status 'collision' if the components run closer than
-    collision_tol times the link diameter, since the energy values past
+    `_COLLISION_TOL` times the link diameter, since the energy values past
     that point are quadrature artifacts.
     """
     if link.dim != 3:
@@ -297,7 +302,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
     for _ in range(steps):
         stacked = np.vstack([g1, g2])
         diameter = _diameter(stacked)
-        if _min_gap(g1, g2) < collision_tol * diameter:
+        if _min_gap(g1, g2) < _COLLISION_TOL * diameter:
             status = "collision"
             break
         probe = PolyLink(g1, g2)
@@ -318,7 +323,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02,
         g1, g2 = new[:n1], new[n1:]
         energies.append(e)
         accepted += 1
-        if accepted % resample_every == 0:
+        if accepted % _RESAMPLE_EVERY == 0:
             r1 = _resample_closed(g1, n1)
             r2 = _resample_closed(g2, n2)
             e_res = _cross_energy_sum(r1, r2)

@@ -60,20 +60,24 @@ def jacobi_index_analytic(kind):
                        eigenvalues=data["negatives"].copy())
 
 
-def _require_minimal_s3(mesh, field, mean_tol):
+_MEAN_TOL = 0.05      # rms mean curvature above which a surface is not minimal
+_EIGENPAIRS = 16      # first eigenvalue window of the index solve
+
+
+def _require_minimal_s3(mesh, field):
     if mesh.ambient != "S3":
         raise NotMinimalError("index counting needs a minimal surface in the "
                               "three-sphere; an R^3 mesh has no ambient "
                               "Ricci term to stabilize it")
     h = field.mean()
     rms = float(np.sqrt(np.sum(h * h * field.weight) / np.sum(field.weight)))
-    if rms > mean_tol:
+    if rms > _MEAN_TOL:
         raise NotMinimalError(f"rms mean curvature {rms:.4f} exceeds "
-                              f"{mean_tol}; the surface is not minimal and "
+                              f"{_MEAN_TOL}; the surface is not minimal and "
                               "the index count would be meaningless")
 
 
-def jacobi_index_numeric(mesh, field=None, k=16, mean_tol=0.05):
+def jacobi_index_numeric(mesh):
     """Morse index of a discretized minimal surface in the three-sphere.
 
     Solves the generalized eigenproblem (S - M_pot) phi = mu M phi by
@@ -88,9 +92,8 @@ def jacobi_index_numeric(mesh, field=None, k=16, mean_tol=0.05):
     margin is safe for the closed-form cases, whose spectra have gaps of
     size 2 around the thresholds.
     """
-    if field is None:
-        field = estimate_curvatures(mesh)
-    _require_minimal_s3(mesh, field, mean_tol)
+    field = estimate_curvatures(mesh)
+    _require_minimal_s3(mesh, field)
 
     potential = field.k1 ** 2 + field.k2 ** 2 + 2.0
     pot_max = float(potential.max())
@@ -101,9 +104,7 @@ def jacobi_index_numeric(mesh, field=None, k=16, mean_tol=0.05):
     sigma = -0.5 * pot_max
 
     n = mesh.vertex_count
-    k = int(k)
-    if k < 1:
-        raise ParameterError("k must be positive")
+    k = _EIGENPAIRS
     v0 = np.ones(n)
     while True:
         if k > n // 10:

@@ -475,24 +475,27 @@ def point_cover_coefficients(heights):
     return np.poly(h)
 
 
-def point_cover_check(mesh, p, trials=10, seed=0, axis=-1):
-    """For seeded draws of p mesh vertices, build the family member whose
-    zero set passes through all of them and verify that it does.
+_COVER_TRIALS = 10    # vertex draws of point_cover_check
 
-    The family is polynomials of degree p in one coordinate (default: the
-    last). Returns the worst residual at the chosen points relative to the
-    member's scale over the whole mesh; raises GeometryError if a residual
-    exceeds 1e-6 of that scale. p is capped at 30 because monic coefficients
-    grow combinatorially and the evaluation stops being trustworthy.
+
+def point_cover_check(mesh, p, seed=0):
+    """For `_COVER_TRIALS` seeded draws of p mesh vertices, build the family
+    member whose zero set passes through all of them and verify that it does.
+
+    The family is polynomials of degree p in the last coordinate. Returns
+    the worst residual at the chosen points relative to the member's scale
+    over the whole mesh; raises GeometryError if a residual exceeds 1e-6 of
+    that scale. p is capped at 30 because monic coefficients grow
+    combinatorially and the evaluation stops being trustworthy.
     """
     if not 1 <= p <= 30:
         raise ParameterError("need 1 <= p <= 30")
     if mesh.vertex_count <= p:
         raise ParameterError("mesh has too few vertices to draw from")
-    heights = mesh.vertices[:, axis]
+    heights = mesh.vertices[:, -1]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_COVER_TRIALS):
         pick = rng.choice(mesh.vertex_count, size=p, replace=False)
         coeffs = point_cover_coefficients(heights[pick])
         member = np.polyval(coeffs, heights)

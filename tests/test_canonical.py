@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cel
 from cel import (GeometryError, InputError, ParameterError,
                  canonical_family_area, estimate_curvatures, hk_verify,
                  make_shape, parallel_area, parallel_area_curve,
@@ -45,16 +46,20 @@ def _scalar_t_area(field, t):
                        center=(1, 0, 0, 0), radius=np.pi / 3),
     lambda: ellipsoid_s3(resolution=16),
 ], ids=["clifford", "geo_sphere", "ellipsoid"])
-def test_parallel_area_curve_is_the_pointwise_area_bit_for_bit(build):
-    # one (T, V) pass must round like a scalar time, whatever path the
-    # array cos and sin loops take
+def test_parallel_area_curve_is_the_pointwise_area_bit_for_bit(build, monkeypatch):
+    # a (rows, V) block must round like a scalar time, whatever path the
+    # array cos and sin loops take: one block, blocks of 5 rows with a
+    # partial last one, and one row per block
     mesh = build()
     field = estimate_curvatures(mesh)
     grid = np.linspace(-np.pi, np.pi, 33)
-    areas = parallel_area_curve(mesh, field, grid).areas
+    want = [_scalar_t_area(field, float(t)) for t in grid]
+    for entries in (cel.canonical._AREA_ENTRIES, 5 * mesh.vertex_count, 1):
+        monkeypatch.setattr(cel.canonical, "_AREA_ENTRIES", entries)
+        areas = parallel_area_curve(mesh, field, grid).areas
+        assert areas.tolist() == want, entries
     for t, area in zip(grid, areas):
         assert area == parallel_area(mesh, field, t), t
-        assert area == _scalar_t_area(field, float(t)), t
 
 
 def test_geodesic_sphere_family_max_is_energy():
@@ -104,8 +109,24 @@ def test_parallel_area_curve_rejects_bad_grids(clifford16, t_grid):
 
 
 @pytest.mark.parametrize("grids", [{"vsteps": 0}, {"tsteps": 0},
-                                   {"vsteps": -1}, {"tsteps": -2},
-                                   {"v_grid": []}, {"t_grid": []}])
+                                   {"vsteps": -1}, {"tsteps": -2}])
 def test_hk_verify_rejects_empty_grids(clifford16, grids):
     with pytest.raises(ParameterError):
         hk_verify(clifford16, **grids)
+
+
+@pytest.mark.parametrize("vsteps", [1, 2, 3])
+def test_hk_verify_evaluates_v_zero_once(clifford16, vsteps, monkeypatch):
+    # v = 0 is one family member in every direction; each nonzero strength
+    # is evaluated in all vsteps directions
+    seen = []
+    curve = cel.canonical.canonical_family_curve
+
+    def counted(mesh, v, t_grid):
+        seen.append(np.array(v))
+        return curve(mesh, v, t_grid)
+
+    monkeypatch.setattr(cel.canonical, "canonical_family_curve", counted)
+    hk_verify(clifford16, vmax=0.3, vsteps=vsteps, tsteps=5)
+    assert len(seen) == 1 + vsteps * (vsteps - 1)
+    assert not np.any(seen[0]) and all(np.any(v) for v in seen[1:])

@@ -3,18 +3,15 @@
 The references below are the former one-field-per-call level-set length
 and the former slot-filling loop that paired each crossing with its two
 segment neighbors. The block kernel computes every crossing with the same
-arithmetic and sums each field's segments on their own, so lengths, sampled
-sups and cycle points must agree exactly.
+arithmetic and sums each field's segments on their own, so lengths and
+cycle points must agree exactly.
 """
 
 import numpy as np
 import pytest
 
-from cel import (MeshQualityError, TriMesh, clifford_torus, real_harmonic_basis,
-                 sphere, sublevel_boundary)
-from cel._accum import unit_directions
-from cel.mesh import _TILE_PAIRS
-from cel.sweepouts import _level_set_lengths, _sampled_sup
+from cel import MeshQualityError, TriMesh, clifford_torus, sphere, sublevel_boundary
+from cel.sweepouts import _level_set_lengths
 
 
 def _reference_cuts(faces, values, level):
@@ -106,17 +103,6 @@ def test_block_lengths_equal_per_field_lengths(sphere16, level):
     assert got == want
     if level == 5.0:
         assert want == [0.0] * 9
-
-
-def test_sampled_sup_over_a_partial_last_block(sphere16):
-    block = _TILE_PAIRS // sphere16.face_count
-    samples = 3 * block + 5
-    columns = real_harmonic_basis(sphere16.vertices, 3)
-    dirs = unit_directions(samples, 12, np.random.SeedSequence([4, 12]),
-                           antipodal=True)
-    sub = columns[:, :12]
-    want = max(_reference_length(sphere16, sub @ d, 0.0) for d in dirs)
-    assert _sampled_sup(sphere16, columns, 12, samples, [4, 12]) == want
 
 
 @pytest.mark.parametrize("mesh", [sphere(resolution=12),

@@ -204,6 +204,24 @@ def test_mobius_descent_decreases_energy():
     assert energies[-1] < energies[0]
 
 
+def test_mobius_descent_resamples_without_raising_the_energy(monkeypatch):
+    # 52 steps pass the resample point at 50 accepted steps
+    hopf = make_shape("hopf_link", resolution=32)
+    link = perturb_link(project_link(hopf, _far_pole(hopf)), 0.08, seed=9)
+    calls = []
+    resample = cel.optimize._resample_closed
+
+    def counted(g, count):
+        calls.append(count)
+        return resample(g, count)
+
+    monkeypatch.setattr(cel.optimize, "_resample_closed", counted)
+    _, trace = mobius_descent(link, steps=52)
+    assert calls == [32, 32]
+    assert len(trace.energies) == 1 + 52 + 1     # the resample was kept
+    assert np.all(np.diff(trace.energies) <= 0.0)
+
+
 def test_mobius_descent_stops_on_contact():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)

@@ -141,7 +141,7 @@ def test_length_budget_check(sphere16):
 
 
 def test_point_cover(sphere16):
-    worst = point_cover_check(sphere16, p=5, trials=10, seed=0)
+    worst = point_cover_check(sphere16, p=5, seed=0)
     assert worst <= 1e-6
     with pytest.raises(ParameterError):
         point_cover_check(sphere16, p=31)
