@@ -24,7 +24,6 @@ from .conformal import dilate_mesh
 from .curvature import estimate_curvatures
 from .energies import willmore_energy
 from .errors import GeometryError, InputError, ParameterError
-from .mesh import TriMesh
 
 
 @dataclass

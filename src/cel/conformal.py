@@ -19,10 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import estimate_curvatures
+from .energies import gauss_map_torus
 from .errors import (DegenerateInputError, GeometryError, InputError,
                      NearPoleError, ParameterError)
 from .mesh import PolyLink, TriMesh
-from .projection import stereographic, stereographic_inverse
+from .projection import _rows, stereographic, stereographic_inverse
 from .shapes import _orthobasis
 
 
@@ -81,7 +82,7 @@ class RadialLimitReport(NamedTuple):
 
 
 def apply_dilation(dilation, points):
-    """Apply a three-sphere dilation to unit points of R^4.
+    """Apply a three-sphere dilation to (n, 4) unit points of R^4.
 
     The exact pole -v/|v| is a fixed point and maps to itself; anything else
     inside the 1e-9 ball around it is numerically unreliable in the chart
@@ -89,12 +90,9 @@ def apply_dilation(dilation, points):
     """
     if not isinstance(dilation, ConformalDilation):
         dilation = ConformalDilation(np.asarray(dilation, dtype=np.float64))
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    pts = _rows(points, 4)
     if dilation.strength == 0.0:
-        out = pts / np.linalg.norm(pts, axis=1)[:, None]
-        return out[0] if single else out
+        return pts / np.linalg.norm(pts, axis=1)[:, None]
 
     center = dilation.v / dilation.strength
     pole = -center
@@ -112,7 +110,7 @@ def apply_dilation(dilation, points):
     if free.any():
         chart = stereographic(pts[free], pole, basis=basis)
         out[free] = stereographic_inverse(dilation.scale * chart, pole, basis=basis)
-    return out[0] if single else out
+    return out
 
 
 def dilate_mesh(mesh, v):
@@ -133,18 +131,14 @@ def dilate_link(link, v):
 
 
 def apply_inversion(inversion, points):
-    """Apply x -> (x - v)/|x - v|^2 to points of R^4."""
+    """Apply x -> (x - v)/|x - v|^2 to (n, 4) points of R^4."""
     if not isinstance(inversion, InversionR4):
         inversion = InversionR4(np.asarray(inversion, dtype=np.float64))
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    diff = pts - inversion.v
+    diff = _rows(points, 4) - inversion.v
     d2 = np.sum(diff**2, axis=1)
     if d2.min() < 1e-24:
         raise NearPoleError("point within 1e-12 of the inversion center")
-    out = diff / d2[:, None]
-    return out[0] if single else out
+    return diff / d2[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +153,15 @@ def g_family(link, v, lam):
     maps, then is scaled by `lam` about the image-sphere center c(v). Both
     transformed curves lie on round spheres centered at c(v), which is
     verified to 1e-9 before the torus is built. At v = 0, lam = 1 the
-    construction is exactly the chord-direction torus of the input link.
+    construction is the chord-direction torus of the input link, up to the
+    rounding of x/|x|^2 on its unit points.
     """
-    from .energies import gauss_map_torus
-
     if link.dim != 4 or not link.on_sphere():
         raise InputError("g_family needs a link on the three-sphere")
     if lam <= 0.0:
         raise ParameterError("scale factor must be positive")
     v = np.asarray(v, dtype=np.float64)
     inv = InversionR4(v)
-
-    if np.linalg.norm(v) == 0.0 and lam == 1.0:
-        return gauss_map_torus(link)
-
     c = inversion_center(v)
     radius = 1.0 / (1.0 - float(v @ v))
     t1 = apply_inversion(inv, link.gamma1)

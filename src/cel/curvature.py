@@ -160,9 +160,13 @@ def _tangent_bases(verts, ambient):
             raise MeshQualityError("degenerate tangent basis on S3")
         basis[:, k, :] = cand / norms[:, None]
     # consistent handedness across vertices, otherwise winding normals
-    # computed inside the charts flip sign from vertex to vertex
-    frames = np.concatenate([verts[:, None, :], basis], axis=1)
-    flip = np.linalg.det(frames) > 0.0
+    # computed inside the charts flip sign from vertex to vertex. Gram-Schmidt
+    # only adds multiples of earlier rows and scales by positive factors, so
+    # det[p; basis] has the sign of det[p; e_o0; e_o1; e_o2], which is
+    # -sgn(order) * sgn(p[o3]) for the last axis o3 of the row's order
+    odd = sum(order[:, i] > order[:, j]
+              for i in range(4) for j in range(i + 1, 4)) % 2 == 1
+    flip = (verts[np.arange(V), order[:, 3]] > 0.0) == odd
     basis[flip, 2, :] = -basis[flip, 2, :]
     return basis
 

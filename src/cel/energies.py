@@ -32,7 +32,7 @@ import numpy as np
 
 from ._accum import stable_sum
 from .curvature import estimate_curvatures
-from .errors import InputError, ParameterError, ResolutionError, ResolutionWarning
+from .errors import InputError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
 from .shapes import (RESOLUTION_FLOOR, _check_resolution, _grid_torus_faces,

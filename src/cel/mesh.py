@@ -8,7 +8,7 @@ i+1 with wraparound, so vertices are stored once.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

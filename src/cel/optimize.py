@@ -181,6 +181,13 @@ def _armijo(evaluate, x, g, e0, alpha0):
     return x, e0, False
 
 
+def _check_descent(steps, move_scale):
+    if steps < 1:
+        raise ParameterError("steps must be positive")
+    if not 0.0 < move_scale < np.inf:   # NaN fails both comparisons
+        raise ParameterError("move_scale must be positive and finite")
+
+
 def willmore_descent(mesh, steps=20, grad_tol=1e-6, move_scale=0.02):
     """Gradient descent on the bending energy of a closed mesh.
 
@@ -189,8 +196,7 @@ def willmore_descent(mesh, steps=20, grad_tol=1e-6, move_scale=0.02):
     drops under grad_tol ('stationary') or when 40 step halvings cannot find
     a decrease ('stagnated'). Returns (mesh, DescentTrace).
     """
-    if steps < 1:
-        raise ParameterError("steps must be positive")
+    _check_descent(steps, move_scale)
     model = _LocalEnergyModel(mesh)
     diameter = mesh.bbox_diameter()
 
@@ -289,8 +295,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02):
     """
     if link.dim != 3:
         raise InputError("descent runs on links in R^3; project first")
-    if steps < 1:
-        raise ParameterError("steps must be positive")
+    _check_descent(steps, move_scale)
     g1 = link.gamma1.copy()
     g2 = link.gamma2.copy()
     n1, n2 = len(g1), len(g2)

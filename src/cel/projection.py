@@ -21,6 +21,16 @@ def _check_pole(pole):
     return pole / np.linalg.norm(pole)
 
 
+def _rows(points, dim):
+    """points as a float (n, dim) array, n >= 1; anything else is a
+    ParameterError."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != dim or len(pts) == 0:
+        raise ParameterError(f"expected an (n, {dim}) array of points in R^{dim}, "
+                             "n >= 1")
+    return pts
+
+
 def _check_on_sphere(points):
     err = np.abs(np.linalg.norm(points, axis=-1) - 1.0)
     if err.max() > 1e-9:
@@ -28,7 +38,7 @@ def _check_on_sphere(points):
 
 
 def stereographic(points, pole, basis=None):
-    """Project points of S^3 \\ {pole} to R^3.
+    """Project (n, 4) points of S^3 \\ {pole} to (n, 3) points of R^3.
 
     x maps to (x - <x,P>P) / (1 - <x,P>), expressed in an orthonormal basis
     of the hyperplane P-perp (`basis`, shape (3, 4), defaults to a
@@ -36,11 +46,7 @@ def stereographic(points, pole, basis=None):
     unit sphere, the antipode of the pole to the origin.
     """
     pole = _check_pole(pole)
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 4:
-        raise ParameterError("expected points in R^4")
+    pts = _rows(points, 4)
     _check_on_sphere(pts)
     if basis is None:
         basis = _orthobasis(pole)
@@ -51,24 +57,18 @@ def stereographic(points, pole, basis=None):
     # 1 - <x,P> = |x - P|^2 / 2 for unit vectors; the difference form stays
     # accurate when x is close to the pole
     denom = 0.5 * dist**2
-    out = (pts @ basis.T) / denom[:, None]
-    return out[0] if single else out
+    return (pts @ basis.T) / denom[:, None]
 
 
 def stereographic_inverse(points, pole, basis=None):
-    """Inverse of `stereographic`: y in R^3 maps back to S^3 \\ {pole}."""
+    """Inverse of `stereographic`: (n, 3) points of R^3 map back to S^3 \\ {pole}."""
     pole = _check_pole(pole)
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 3:
-        raise ParameterError("expected points in R^3")
+    pts = _rows(points, 3)
     if basis is None:
         basis = _orthobasis(pole)
     s = np.sum(pts**2, axis=1)
     out = (2.0 * (pts @ basis) + (s - 1.0)[:, None] * pole) / (s + 1.0)[:, None]
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    return out[0] if single else out
+    return out / np.linalg.norm(out, axis=1)[:, None]
 
 
 def project_mesh(mesh, pole):

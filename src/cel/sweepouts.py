@@ -352,6 +352,8 @@ def _sampled_sup(mesh, columns, truncation, samples, seed_key):
 
 def _check_lengths(lengths, limit):
     ls = [int(x) for x in lengths]
+    if not ls:
+        raise ParameterError("family sizes must not be empty")
     if sorted(set(ls)) != ls:
         raise ParameterError("family sizes must be strictly increasing")
     if ls[0] < 2:

@@ -1,10 +1,13 @@
 """End-to-end verification checks, shared by the test suite and the CLI.
 
-Each check returns a CheckResult whose detail string contains only
-deterministic quantities (seeded samples, fixed meshes, no timings), so the
-printed report is byte-identical across runs on one machine. Wall-clock
-budgets are still enforced where a check carries one; elapsed seconds are
-returned separately for logging to stderr.
+Each check is a function of the profile parameters that returns
+(passed, detail). Its detail string contains only deterministic quantities
+(seeded samples, fixed meshes, no timings), so the printed report is
+byte-identical across runs on one machine. The runner `run_all` alone owns
+names, times and budgets: it names each check after its function, times the
+whole check, fails one that runs past its budget in `CHECKS`, and turns an
+exception into a FAIL whose detail starts with the error's type name. The
+elapsed seconds it records are logged to stderr, never printed in a detail.
 """
 
 import time
@@ -18,7 +21,6 @@ from .curvature import estimate_curvatures
 from .energies import (_far_pole, energy_linking_bound_check,
                        gauss_area_energy_check, gauss_map_torus,
                        mobius_energy, willmore_energy)
-from .errors import GeometryError
 from .fixtures import ellipsoid_s3, perturb_link, perturb_mesh
 from .laplace import laplace_minmax
 from .optimize import (mobius_descent, mobius_relative_gradient,
@@ -75,15 +77,9 @@ PROFILES = {
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
 
-def _result(name, t0, passed, detail):
-    return CheckResult(name=name, passed=passed, detail=detail,
-                       elapsed=time.perf_counter() - t0)
-
-
 def check_closed_form_energies(params):
     """Bending energies of shapes with known exact values, 1% tolerance,
     each shape under its 10 second budget."""
-    t0 = time.perf_counter()
     res = params["closed_res"]
     cases = [
         ("sphere", dict(), 4.0 * np.pi),
@@ -103,28 +99,24 @@ def check_closed_form_energies(params):
         ok &= rel <= 0.01 and dt < 10.0
         tag = kind if "radius" not in kw else f"{kind}({kw['radius']:.3f})"
         rows.append(f"{tag} rel={rel:.2e}")
-    return _result("closed_form_energies", t0, ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
 def check_tube_minimum(params):
     """100-point sweep of unit tubes: minimum at sqrt(2) within 0.02 with
-    value within 1% of the flat-torus optimum, under 60 seconds."""
-    t0 = time.perf_counter()
+    value within 1% of the flat-torus optimum."""
     sweep = tube_family_sweep(resolution=TUBE_RES)
-    dt = time.perf_counter() - t0
     loc_err = abs(sweep.min_radius - np.sqrt(2.0))
     val_err = abs(sweep.min_energy - TWO_PI_SQ) / TWO_PI_SQ
-    ok = loc_err <= 0.02 and val_err <= 0.01 and dt < 60.0
-    return _result("tube_minimum", t0, ok,
-                   f"argmin={sweep.min_radius:.4f} (|d|={loc_err:.4f}), "
-                   f"value rel={val_err:.2e}, grid={len(sweep.radii)}")
+    ok = loc_err <= 0.02 and val_err <= 0.01
+    return ok, (f"argmin={sweep.min_radius:.4f} (|d|={loc_err:.4f}), "
+                f"value rel={val_err:.2e}, grid={len(sweep.radii)}")
 
 
 def check_cross_energy_bound(params):
     """Cross energy of the standard fibration link within 1% of its exact
     value, and the 4 pi |lk| lower bound respected (within quadrature
     error) on it, a (2,4) torus link, and seeded perturbations."""
-    t0 = time.perf_counter()
     res = params["link_res"]
     hopf = make_shape("hopf_link", resolution=res)
     rep = mobius_energy(hopf)
@@ -132,24 +124,19 @@ def check_cross_energy_bound(params):
     ok = rel <= 0.01
     rows = [f"E={rep.value:.4f} rel={rel:.2e}"]
     margins = []
-    try:
-        for link in (hopf, make_shape("torus_link", resolution=res, p=2, q=4)):
-            margins.append(energy_linking_bound_check(link).margin)
-        base = make_shape("hopf_link", resolution=128)
-        for seed in range(params["perturbed_links"]):
-            pert = perturb_link(base, 0.03, seed=seed)
-            margins.append(energy_linking_bound_check(pert).margin)
-    except GeometryError as exc:
-        return _result("cross_energy_bound", t0, False, f"bound violated: {exc}")
+    for link in (hopf, make_shape("torus_link", resolution=res, p=2, q=4)):
+        margins.append(energy_linking_bound_check(link).margin)
+    base = make_shape("hopf_link", resolution=128)
+    for seed in range(params["perturbed_links"]):
+        pert = perturb_link(base, 0.03, seed=seed)
+        margins.append(energy_linking_bound_check(pert).margin)
     rows.append(f"min margin={min(margins):.4f} over {len(margins)} links")
-    ok &= time.perf_counter() - t0 < 30.0
-    return _result("cross_energy_bound", t0, ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
 def check_conformal_invariance(params):
     """Bending energy drift under dilations of strengths 0.1, 0.3, 0.5 at
     most 2%, halving-to-1% when the resolution doubles."""
-    t0 = time.perf_counter()
     res = params["conformal_res"]
     strengths = (0.1, 0.3, 0.5)
     direction = np.array([0.3, -0.5, 0.2, 0.4])
@@ -169,14 +156,13 @@ def check_conformal_invariance(params):
           and all(f < c for f, c in zip(fine, coarse)))
     detail = ("coarse " + "/".join(f"{d:.2e}" for d in coarse)
               + " fine " + "/".join(f"{d:.2e}" for d in fine))
-    return _result("conformal_invariance", t0, ok, detail)
+    return ok, detail
 
 
 def check_gauss_map(params):
     """Chord-direction torus of the fibration link lands on the square flat
     torus to 1e-12; its area stays within 1% of the cross energy there and
     under 101% for random perturbed links."""
-    t0 = time.perf_counter()
     res = params["gauss_res"]
     hopf = make_shape("hopf_link", resolution=res)
     gm = gauss_map_torus(hopf)
@@ -186,22 +172,17 @@ def check_gauss_map(params):
     ok = flat_dev <= 1e-12 and abs(rep.ratio - 1.0) <= 0.01
     worst = 0.0
     base = make_shape("hopf_link", resolution=64)
-    try:
-        for seed in range(params["gauss_random"]):
-            pert = perturb_link(base, 0.05, seed=seed)
-            worst = max(worst, gauss_area_energy_check(pert, tol=0.01).ratio)
-    except GeometryError as exc:
-        return _result("gauss_map", t0, False, f"ratio blew past 1.01: {exc}")
-    return _result("gauss_map", t0, ok,
-                   f"flat dev={flat_dev:.2e}, ratio={rep.ratio:.6f}, "
-                   f"worst random ratio={worst:.6f}")
+    for seed in range(params["gauss_random"]):
+        pert = perturb_link(base, 0.05, seed=seed)
+        worst = max(worst, gauss_area_energy_check(pert, tol=0.01).ratio)
+    return ok, (f"flat dev={flat_dev:.2e}, ratio={rep.ratio:.6f}, "
+                f"worst random ratio={worst:.6f}")
 
 
 def check_parallel_area_bound(params):
     """Sup of dilated parallel-surface area never beats the bending energy
     beyond 2% on three surfaces, and the pointwise area-element bound
     1 + H^2 >= jacobian holds to rounding."""
-    t0 = time.perf_counter()
     res = params["hk_res"]
     fixtures = [
         ("clifford", make_shape("clifford_torus", resolution=res)),
@@ -211,13 +192,10 @@ def check_parallel_area_bound(params):
     ]
     rows = []
     ok = True
-    try:
-        for tag, mesh in fixtures:
-            rep = hk_verify(mesh)
-            ok &= rep.ratio <= 1.02
-            rows.append(f"{tag} ratio={rep.ratio:.5f}")
-    except GeometryError as exc:
-        return _result("parallel_area_bound", t0, False, f"bound failed: {exc}")
+    for tag, mesh in fixtures:
+        rep = hk_verify(mesh)
+        ok &= rep.ratio <= 1.02
+        rows.append(f"{tag} ratio={rep.ratio:.5f}")
 
     worst = 0.0
     for _, mesh in fixtures:
@@ -228,34 +206,29 @@ def check_parallel_area_bound(params):
         worst = min(worst, float(slack.min()))
     ok &= worst >= -1e-12
     rows.append(f"pointwise slack={worst:.2e}")
-    return _result("parallel_area_bound", t0, ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
 def check_radial_limits(params):
     """Distance of the dilated surface from the tangent great sphere is
     nonincreasing in the dilation strength on both reference surfaces, and
     strictly decreasing where the surface is not that great sphere."""
-    t0 = time.perf_counter()
     res = params["radial_res"]
     cl = make_shape("clifford_torus", resolution=res)
     gs = make_shape("geodesic_sphere", resolution=res, center=(1, 0, 0, 0),
                     radius=np.pi / 2)
-    try:
-        rep_cl = radial_limit_check(cl, vertex=0)
-        rep_gs = radial_limit_check(gs, vertex=0)
-    except GeometryError as exc:
-        return _result("radial_limits", t0, False, f"distance rose: {exc}")
+    rep_cl = radial_limit_check(cl, vertex=0)
+    rep_gs = radial_limit_check(gs, vertex=0)
     d = rep_cl.distances
     ok = d[0] > d[-1]
     detail = ("torus " + "/".join(f"{x:.4f}" for x in rep_cl.distances)
               + " sphere " + "/".join(f"{x:.1e}" for x in rep_gs.distances))
-    return _result("radial_limits", t0, ok, detail)
+    return ok, detail
 
 
 def check_morse_index(params):
     """Numeric index counts match the closed forms (1 and 5) at the given
-    resolution, under 60 seconds."""
-    t0 = time.perf_counter()
+    resolution."""
     res = params["index_res"]
     rows = []
     ok = True
@@ -267,43 +240,32 @@ def check_morse_index(params):
         ok &= got.index == want.index and got.near_zero == want.near_zero
         rows.append(f"{kind} index={got.index}/{want.index} "
                     f"nullity={got.near_zero}/{want.near_zero}")
-    ok &= time.perf_counter() - t0 < 60.0
-    return _result("morse_index", t0, ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
 def check_length_budget(params):
     """Sampled zero sets of degree-d polynomials stay within 2% of the
     d-great-circles length budget for d = 1..6."""
-    t0 = time.perf_counter()
     mesh = make_shape("sphere", resolution=WIDTH_RES)
-    try:
-        reports = length_budget_check(mesh, max_degree=6,
-                                      samples=params["budget_samples"], seed=0)
-    except GeometryError as exc:
-        return _result("length_budget", t0, False, f"budget exceeded: {exc}")
-    detail = "; ".join(f"d={r.degree} frac={r.sup_length / r.budget:.3f}"
-                       for r in reports)
-    return _result("length_budget", t0, True, detail)
+    reports = length_budget_check(mesh, max_degree=6,
+                                  samples=params["budget_samples"], seed=0)
+    return True, "; ".join(f"d={r.degree} frac={r.sup_length / r.budget:.3f}"
+                           for r in reports)
 
 
 def check_width_scaling(params):
     """Log-log slope of the harmonic width series against p lands in
-    0.5 +- 0.15, under 5 minutes."""
-    t0 = time.perf_counter()
+    0.5 +- 0.15."""
     mesh = make_shape("sphere", resolution=WIDTH_RES)
     series = harmonic_width_series(mesh, seed=0)
     fit = scaling_fit(series)
-    dt = time.perf_counter() - t0
-    ok = 0.35 <= fit.exponent <= 0.65 and dt < 300.0
-    return _result("width_scaling", t0, ok,
-                   f"exponent={fit.exponent:.4f} over p={series[0].p}.."
-                   f"{series[-1].p}")
+    return 0.35 <= fit.exponent <= 0.65, (f"exponent={fit.exponent:.4f} over "
+                                          f"p={series[0].p}..{series[-1].p}")
 
 
 def check_laplace_spectra(params):
     """First nine Laplace eigenvalues of the round sphere and the square
     flat torus within 5% of l(l+1) and 2(m^2+n^2)."""
-    t0 = time.perf_counter()
     sphere = make_shape("sphere", resolution=24)
     torus = make_shape("clifford_torus", resolution=48)
     want_s = np.array([0, 2, 2, 2, 6, 6, 6, 6, 6], dtype=np.float64)
@@ -315,14 +277,13 @@ def check_laplace_spectra(params):
         err = np.abs(got - want) / np.maximum(want, 1.0)
         ok &= bool(np.all(err <= 0.05))
         details.append(f"{tag} max rel={err.max():.2e}")
-    return _result("laplace_spectra", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def check_descent(params):
     """Descent traces are monotone and never undercut the topological energy
     floors, and the three reference configurations are numerically
     stationary (scale-free gradient under 1e-3)."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
 
@@ -355,22 +316,24 @@ def check_descent(params):
     stat = max(g_cl, g_gs, g_hl)
     ok &= stat < 1e-3
     rows.append(f"stationarity max={stat:.2e}")
-    return _result("descent", t0, ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
+# (check, wall-clock budget in seconds or None); run_all names each check
+# after its function, times it and fails it past its budget
 CHECKS = [
-    check_closed_form_energies,
-    check_tube_minimum,
-    check_cross_energy_bound,
-    check_conformal_invariance,
-    check_gauss_map,
-    check_parallel_area_bound,
-    check_radial_limits,
-    check_morse_index,
-    check_length_budget,
-    check_width_scaling,
-    check_laplace_spectra,
-    check_descent,
+    (check_closed_form_energies, None),
+    (check_tube_minimum, 60.0),
+    (check_cross_energy_bound, 30.0),
+    (check_conformal_invariance, None),
+    (check_gauss_map, None),
+    (check_parallel_area_bound, None),
+    (check_radial_limits, None),
+    (check_morse_index, 60.0),
+    (check_length_budget, None),
+    (check_width_scaling, 300.0),
+    (check_laplace_spectra, None),
+    (check_descent, None),
 ]
 
 
@@ -381,12 +344,16 @@ def run_all(profile="fast"):
                          f"choose from {sorted(PROFILES)}")
     params = PROFILES[profile]
     results = []
-    for check in CHECKS:
+    for check, budget in CHECKS:
+        t0 = time.perf_counter()
         try:
-            results.append(check(params))
+            passed, detail = check(params)
         except Exception as exc:  # a crash is a failed check, not a crash of the runner
-            name = check.__name__.replace("check_", "")
-            results.append(CheckResult(name=name, passed=False,
-                                       detail=f"{type(exc).__name__}: {exc}",
-                                       elapsed=0.0))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - t0
+        if budget is not None and elapsed >= budget:
+            passed = False
+        results.append(CheckResult(name=check.__name__.removeprefix("check_"),
+                                   passed=passed, detail=detail,
+                                   elapsed=elapsed))
     return results

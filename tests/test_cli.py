@@ -216,6 +216,14 @@ def test_optimize_mobius_on_a_mesh_exits_2(tmp_path, capsys):
     assert "error: not valid JSON" in capsys.readouterr().err
 
 
+def test_optimize_with_a_zero_move_scale_exits_2(tmp_path, capsys):
+    mesh = str(tmp_path / "t.obj")
+    main(["generate", "tube_torus", "--resolution", "10", "-o", mesh])
+    capsys.readouterr()
+    assert main(["optimize", mesh, "--steps", "1", "--move-scale", "0"]) == 2
+    assert "error: move_scale must be positive and finite" in capsys.readouterr().err
+
+
 def test_unknown_shape_parameter_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.obj")
     assert main(["generate", "sphere", "--param", "bogus=1", "-o", out]) == 2

@@ -108,6 +108,18 @@ def test_inversion_round_trip():
     np.testing.assert_allclose(back, pts - v, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.array([1.0, 0.0, 0.0, 0.0]),
+                                 np.ones((2, 3)), np.ones((1, 2, 4)),
+                                 np.zeros((0, 4))])
+def test_maps_take_only_rows_of_r4(bad):
+    v = np.array([0.1, 0.0, 0.0, 0.0])
+    for apply, arg in ((apply_dilation, ConformalDilation(v)),
+                       (apply_dilation, ConformalDilation(np.zeros(4))),
+                       (apply_inversion, InversionR4(v))):
+        with pytest.raises(ParameterError, match=r"\(n, 4\)"):
+            apply(arg, bad)
+
+
 def test_radial_limit_decay(clifford16):
     rep = radial_limit_check(clifford16, vertex=0)
     assert rep.distances[0] > rep.distances[-1]

@@ -15,8 +15,9 @@ import cel
 from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
                  ParameterError, PolyLink, TriMesh, euler_genus, load_link,
                  load_obj, make_shape, save_link, save_obj)
+from cel.curvature import _tangent_bases
 from cel.energies import gauss_map_torus
-from cel.fixtures import genus2_surface, perturb_mesh
+from cel.fixtures import ellipsoid_s3, genus2_surface, perturb_mesh
 from cel.mesh import _pair_tiles
 from cel.projection import stereographic, stereographic_inverse
 from cel.shapes import _grid_torus_faces, _icosahedron, _icosphere
@@ -413,6 +414,32 @@ def test_curvature_weights_sum_to_the_mesh_area(build):
     assert total == pytest.approx(mesh.area(), rel=1e-12, abs=0.0)
 
 
+def _s3_point_sets():
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((20000, 4))
+    yield pytest.param(lambda: raw / np.linalg.norm(raw, axis=1)[:, None], id="random")
+    for res in (8, 16, 33, 48):
+        yield pytest.param(lambda res=res: make_shape(
+            "clifford_torus", resolution=res).vertices, id=f"clifford{res}")
+        for center, radius in (((1, 0, 0, 0), np.pi / 2), ((0, 0, 1, 0), 0.8),
+                               ((0.5, -0.5, 0.5, 0.5), np.pi / 6)):
+            yield pytest.param(lambda res=res, c=center, r=radius: make_shape(
+                "geodesic_sphere", resolution=res, center=c, radius=r).vertices,
+                id=f"geodesic{res}_{radius:.2f}")
+        yield pytest.param(lambda res=res: ellipsoid_s3(resolution=res).vertices,
+                           id=f"ellipsoid{res}")
+
+
+@pytest.mark.parametrize("build", _s3_point_sets())
+def test_tangent_bases_share_the_determinant_handedness(build):
+    # the flip is read from the axis order and the sign of the largest
+    # coordinate; every frame [p; basis] must come out with det < 0
+    verts = build()
+    basis = _tangent_bases(verts, "S3")
+    frames = np.concatenate([verts[:, None, :], basis], axis=1)
+    assert np.all(np.linalg.det(frames) < 0.0)
+
+
 def test_faceless_mesh_raises_a_typed_error():
     mesh = TriMesh(cel.sphere(resolution=8).vertices, np.zeros((0, 3), int))
     for fn in (cel.estimate_curvatures, cel.willmore_energy,
@@ -442,6 +469,17 @@ def test_projection_pole_guard():
     pole = np.array([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(NearPoleError):
         stereographic(pole[None, :], pole)
+
+
+def test_projections_take_only_rows_of_points():
+    pole = np.array([0.0, 0.0, 0.0, 1.0])
+    for bad in (np.array([1.0, 0.0, 0.0, 0.0]), np.ones((2, 3)),
+                np.ones((1, 2, 4)), np.zeros((0, 4))):
+        with pytest.raises(ParameterError, match=r"\(n, 4\)"):
+            stereographic(bad, pole)
+    for bad in (np.zeros(3), np.ones((2, 4)), np.zeros((0, 3))):
+        with pytest.raises(ParameterError, match=r"\(n, 3\)"):
+            stereographic_inverse(bad, pole)
 
 
 def test_mesh_projection_round_trip(clifford16):

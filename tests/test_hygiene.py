@@ -1,0 +1,61 @@
+"""Import and public-API hygiene of the library sources, read with `ast`."""
+
+import ast
+import pathlib
+
+import pytest
+
+import cel
+
+SRC = pathlib.Path(cel.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.stem}.{name} (line {line})"
+                  for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path) == []
+
+
+def test_public_names_change_only_on_purpose():
+    assert sorted(cel.__all__) == [
+        "ConformalDilation", "CurvatureField", "DegenerateInputError",
+        "FormatError", "GeometryError", "InputError", "InsufficientDataError",
+        "InversionR4", "KNOWN_SHAPES", "LINK_KINDS", "MESH_KINDS",
+        "MeshQualityError", "NearPoleError", "NotMinimalError",
+        "ParameterError", "PolyLink", "ResolutionError", "ResolutionWarning",
+        "SolverError", "TriMesh", "apply_dilation", "apply_inversion",
+        "canonical_family_area", "canonical_family_curve", "clifford_torus",
+        "coaxial_circles", "cotan_stiffness", "dilate_link", "dilate_mesh",
+        "eigenfunction_width_series", "ellipsoid", "ellipsoid_s3",
+        "energy_linking_bound_check", "estimate_curvatures", "euler_genus",
+        "g_family", "gauss_area_energy_check", "gauss_map_torus",
+        "genus2_surface", "geodesic_sphere", "harmonic_width_series",
+        "hk_verify", "hopf_link", "inversion_center", "jacobi_index_analytic",
+        "jacobi_index_numeric", "laplace_eigs", "laplace_minmax",
+        "length_budget_check", "level_set_length", "lift_mesh",
+        "linking_number", "load_link", "load_obj", "lumped_mass",
+        "make_shape", "mobius_descent", "mobius_energy",
+        "mobius_relative_gradient", "parallel_area", "parallel_area_curve",
+        "perturb_link", "perturb_mesh", "point_cover_check",
+        "point_cover_coefficients", "polynomial_sup_length", "project_link",
+        "project_mesh", "radial_limit_check", "real_harmonic_basis",
+        "run_all", "save_link", "save_obj", "scaling_fit", "sphere",
+        "stereographic", "stereographic_inverse", "sublevel_boundary",
+        "torus_link", "tube_family_sweep", "tube_torus", "willmore_descent",
+        "willmore_energy", "willmore_relative_gradient",
+    ]

@@ -242,3 +242,14 @@ def test_tube_sweep_finds_sqrt2():
     assert len(sweep.energies) == len(radii)
     with pytest.raises(ParameterError):
         tube_family_sweep(radii=np.array([0.9, 1.5]), resolution=16)
+
+
+@pytest.mark.parametrize("move_scale", [0.0, -1.0, np.nan, np.inf])
+def test_descents_need_a_positive_finite_move_scale(move_scale):
+    mesh = make_shape("clifford_torus", resolution=8)
+    with pytest.raises(ParameterError, match="move_scale"):
+        willmore_descent(mesh, steps=1, move_scale=move_scale)
+    hopf = make_shape("hopf_link", resolution=16)
+    link = project_link(hopf, _far_pole(hopf))
+    with pytest.raises(ParameterError, match="move_scale"):
+        mobius_descent(link, steps=1, move_scale=move_scale)

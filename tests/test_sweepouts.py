@@ -157,3 +157,10 @@ def test_point_cover_coefficients_vanish():
 def test_width_needs_unit_sphere(clifford16):
     with pytest.raises(InputError):
         harmonic_width_series(clifford16, lengths=(2, 4), seed=0)
+
+
+def test_width_series_need_at_least_one_family(sphere16, clifford16):
+    with pytest.raises(ParameterError, match="empty"):
+        harmonic_width_series(sphere16, lengths=())
+    with pytest.raises(ParameterError, match="empty"):
+        eigenfunction_width_series(clifford16, lengths=[])
