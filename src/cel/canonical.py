@@ -15,7 +15,7 @@ energy.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .errors import GeometryError, InputError, ParameterError
 class ParallelAreaCurve:
     t_grid: np.ndarray
     areas: np.ndarray
-    source: str
-    v: Optional[np.ndarray] = None
 
 
 class HKReport(NamedTuple):
@@ -67,7 +65,7 @@ def parallel_area(mesh, field=None, t=0.0):
     return float(parallel_area_curve(mesh, field, [float(t)]).areas[0])
 
 
-def parallel_area_curve(mesh, field=None, t_grid=None, v=None):
+def parallel_area_curve(mesh, field=None, t_grid=None):
     """parallel_area sampled over a t grid, packaged for plotting."""
     field = _check_s3_field(mesh, field)
     if t_grid is None:
@@ -92,9 +90,7 @@ def parallel_area_curve(mesh, field=None, t_grid=None, v=None):
         live = (t > first_neg) & (t < first_pos)
         mass = np.where(live, _jacobian(field, t), 0.0) * field.weight
         areas[start:start + rows] = [stable_sum(row) for row in mass]
-    source = mesh.recipe[0] if mesh.recipe is not None else "mesh"
-    return ParallelAreaCurve(t_grid=t_grid, areas=areas, source=source,
-                             v=None if v is None else np.asarray(v, dtype=np.float64))
+    return ParallelAreaCurve(t_grid=t_grid, areas=areas)
 
 
 def canonical_family_area(mesh, v, t):
@@ -112,7 +108,7 @@ def canonical_family_curve(mesh, v, t_grid):
     else:
         image = dilate_mesh(mesh, v)
     field = estimate_curvatures(image)
-    return parallel_area_curve(image, field, t_grid, v=v)
+    return parallel_area_curve(image, field, t_grid)
 
 
 def hk_verify(mesh, vmax=0.5, vsteps=5, tsteps=33):

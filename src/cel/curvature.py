@@ -1,4 +1,4 @@
-"""Principal curvature estimation by quadric fits over two-ring neighborhoods.
+"""Principal curvatures and bending energy from quadric fits over two-rings.
 
 For R^3 meshes the fit happens in the tangent frame of the accumulated vertex
 normal. For meshes on the unit three-sphere each vertex neighborhood is first
@@ -12,22 +12,37 @@ Curvature is read from the quadric part only; the cubic part soaks up the
 odd-order truncation error that would otherwise bias curvatures on stencils
 without point symmetry (roughly a 7x accuracy gain on grid tori).
 
-Every fit in the package, here and in the localized refits of the bending
-gradient (optimize.py), runs through one kernel, `_quadric_fit`, on a dense
-stencil layout. A stencil row holds the chart coordinates of its base
-vertex's two-ring in a (rows, m_max, 3) array, m_max being the largest
-two-ring. Shorter two-rings are padded with the base vertex itself, and the
-padded slots are set to exactly zero, so they add nothing to the normal
-equations. Each vertex's fan of incident faces is kept as pairs of slots
-in its two-ring row, so the frame normal (summed winding cross products)
-and the barycentric area weight are read from the same coordinates; a
-padded fan entry names one slot twice, a triangle with zero cross product
-and zero area. Every row pays the width of the largest two-ring, which is
-cheap on the near-regular meshes the generators make (valence 5 to 7).
+Every fit in the package runs through one kernel, `_quadric_fit`, on a dense
+stencil layout, and only that kernel turns a fit into principal curvatures.
+A stencil row holds the chart coordinates of its base vertex's two-ring in a
+(rows, m_max, 3) array, m_max being the largest two-ring. Shorter two-rings
+are padded with the base vertex itself, and the padded slots are set to
+exactly zero, so they add nothing to the normal equations. Each vertex's fan
+of incident faces is kept as pairs of slots in its two-ring row, so the
+frame normal (summed winding cross products) and the barycentric area weight
+are read from the same coordinates; a padded fan entry names one slot twice,
+a triangle with zero cross product and zero area. Every row pays the width
+of the largest two-ring, which is cheap on the near-regular meshes the
+generators make (valence 5 to 7).
 
-The full-mesh estimate fits blocks of `_FIT_ROWS` vertices, which bounds its
-memory. Every block keeps the global width m_max: batched products reduce in
-an order set by their inner size, and a narrower block would change bits.
+`_LocalEnergyModel` holds the stencils of one connectivity. Its `field` is
+the full-mesh estimate, fitted in blocks of `_FIT_ROWS` vertices at the
+global width m_max (batched products reduce in an order set by their inner
+size, so a narrower block would change bits); `energy` sums the one density,
+`_bending_density`, over that field, and `gradient` differences that energy.
+
+The gradient is a central difference that refits only the terms a probe can
+change, those of the vertex and of its two-ring. Vertices are probed in
+fixed chunks of consecutive indices, each member with a copy of its stencil
+rows: its own row, recharted from its moved position, and one row per
+two-ring vertex in which only the slot holding the member is rewritten. No
+row copy sees two chunk-mates move, and entries a probe leaves alone are the
+same numbers in both probes of a difference, so every derivative is bit for
+bit a one-vertex difference, however the vertices are grouped. The chunk
+size bounds the working set of one kernel call; many more rows at once
+outgrow the cache and run slower. On the three-sphere positions are
+renormalized before every evaluation, so radial gradient components vanish
+identically and the descent needs no tangency constraint.
 
 Sign convention: curvatures are reported with respect to the face-winding
 normal so that the unit round sphere with outward winding has k1 = k2 = +1.
@@ -40,6 +55,7 @@ import scipy.sparse as sp
 
 from ._accum import stable_sum
 from .errors import MeshQualityError
+from .mesh import _diameter
 
 
 @dataclass
@@ -119,6 +135,9 @@ def _stencils(mesh):
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 _FIT_ROWS = 2048    # vertices per block of the full-mesh estimate
+# vertices per gradient chunk, about 600 stencil row copies on the
+# near-regular generated meshes
+_CHUNK = 32
 
 
 def _cross(u, w):
@@ -194,16 +213,6 @@ def _chart(base, pts, basis):
     return _s3_chart(base[:, None, :], pts) @ basis.transpose(0, 2, 1), diff
 
 
-def _ring_coords(pts, rows, ring, basis):
-    """Chart coordinates and differences of the two-ring of each row in
-    `rows`, padded slots exactly zero. basis holds the rows' S^3 tangent
-    bases, or is None in R^3."""
-    nbr = ring[rows]
-    local, diff = _chart(pts[rows], pts[nbr], basis)
-    local[nbr == rows[:, None]] = 0.0
-    return local, diff
-
-
 def _fan_sums(local, diff, fan):
     """Unit frame normals and barycentric area weights of stencil rows.
 
@@ -238,8 +247,8 @@ def _quadric_fit(local, frame_n, counts):
     local (R, m, 3) holds chart coordinates around each row's base point,
     exactly zero in padded slots; frame_n (R, 3) holds unit frame normals
     and counts (R,) the real stencil sizes. Returns the fitted slopes
-    (a1, a2) along the tangent pair (e1, e2), the Monge-patch shape operator
-    (s11, s12, s21, s22), and (e1, e2).
+    (a1, a2) along the tangent pair (e1, e2), the principal curvatures
+    (k1, k2) with k1 >= k2, and (e1, e2).
     """
     e1, e2 = _tangent_pair(frame_n)
     xyh = local @ np.stack([e1, e2, frame_n], axis=2)
@@ -284,34 +293,120 @@ def _quadric_fit(local, frame_n, counts):
     s12 = (g22 * l12 - g12 * l22) / detg
     s21 = (g11 * l12 - g12 * l11) / detg
     s22 = (g11 * l22 - g12 * l12) / detg
-    return (a1, a2), (s11, s12, s21, s22), (e1, e2)
+
+    # sign convention: eigenvalues of minus the Monge-patch shape operator,
+    # so the outward-wound unit sphere reports +1; the discriminant
+    # tr^2 - 4 det is expanded so that it does not cancel at umbilics
+    tr = -(s11 + s22)
+    disc = np.sqrt(np.maximum((s11 - s22) ** 2 + 4.0 * s12 * s21, 0.0))
+    return (a1, a2), (0.5 * (tr + disc), 0.5 * (tr - disc)), (e1, e2)
+
+
+def _bending_density(ambient, k1, k2, weight):
+    """Bending energy per vertex: H^2 w in R^3 and (1 + H^2) w on S^3, with
+    H the mean of the principal curvatures, as in CurvatureField.mean."""
+    h2 = (0.5 * (k1 + k2)) ** 2
+    return (1.0 + h2) * weight if ambient == "S3" else h2 * weight
+
+
+class _LocalEnergyModel:
+    """Curvature field, bending energy and its gradient on one connectivity.
+
+    The combinatorics (dense two-ring and fan tables) depend only on the
+    faces and are built once; after that every method takes the vertex
+    positions, in the mesh's vertex order.
+    """
+
+    def __init__(self, mesh):
+        self.ambient = mesh.ambient
+        self.ring, self.counts, self.fan = _stencils(mesh)
+
+    def _rows(self, positions, rows):
+        """S^3 tangent bases (None in R^3), chart coordinates and ambient
+        differences of the two-ring of each row in `rows`, padded slots
+        charted as exactly zero."""
+        nbr = self.ring[rows]
+        basis = _tangent_bases(positions[rows], self.ambient)
+        local, diff = _chart(positions[rows], positions[nbr], basis)
+        local[nbr == rows[:, None]] = 0.0
+        return basis, local, diff
+
+    def _terms(self, local, diff, fan, counts):
+        """Bending energy term of each stencil row from its fit inputs."""
+        frame_n, weight = _fan_sums(local, diff, fan)
+        _, (k1, k2), _ = _quadric_fit(local, frame_n, counts)
+        return _bending_density(self.ambient, k1, k2, weight)
+
+    def field(self, positions):
+        """CurvatureField at the given positions."""
+        n, blocks = len(positions), []
+        for start in range(0, n, _FIT_ROWS):
+            rows = np.arange(start, min(start + _FIT_ROWS, n))
+            basis, local, diff = self._rows(positions, rows)
+            frame_n, weight = _fan_sums(local, diff, self.fan[rows])
+            (a1, a2), (k1, k2), (e1, e2) = _quadric_fit(local, frame_n, self.counts[rows])
+            # refine the normal with the fitted gradient
+            normal = frame_n - a1[:, None] * e1 - a2[:, None] * e2
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+            if basis is not None:
+                normal = np.einsum("vk,vkd->vd", normal, basis)
+                normal /= np.linalg.norm(normal, axis=1)[:, None]
+            blocks.append((k1, k2, normal, weight))
+        k1, k2, normal, weight = map(np.concatenate, zip(*blocks))
+        return CurvatureField(k1=k1, k2=k2, normal=normal, weight=weight)
+
+    def energy(self, positions):
+        """Total bending energy at the given positions."""
+        f = self.field(positions)
+        return stable_sum(_bending_density(self.ambient, f.k1, f.k2, f.weight))
+
+    def gradient(self, positions):
+        """Central-difference gradient of the total energy, (V, dim)."""
+        n, dim = positions.shape
+        h = 1e-5 * max(_diameter(positions), 1e-12)
+        grad = np.zeros((n, dim))
+        for start in range(0, n, _CHUNK):
+            members = np.arange(start, min(start + _CHUNK, n))
+            # each member's row copies: its own row, then its two-ring
+            sizes = self.counts[members] + 1
+            lead = np.cumsum(sizes) - sizes
+            nbr = self.ring[members]
+            block = np.concatenate([members[:, None], nbr], axis=1)
+            rows = block[np.arange(block.shape[1]) < sizes[:, None]]
+            rest = np.delete(np.arange(len(rows)), lead)
+            owner = np.repeat(np.arange(len(members)), sizes)[rest]
+
+            basis, local, diff = self._rows(positions, rows)
+            fan, counts = self.fan[rows], self.counts[rows]
+            # every other row sees its member at exactly one two-ring slot;
+            # a probe rewrites the member rows and those slots, all other
+            # entries keep their unperturbed values
+            slot = np.argmax(self.ring[rows[rest]] == members[owner, None], axis=1)
+            rest_base = positions[rows[rest]]
+            rest_basis = None if basis is None else basis[rest]
+            nbr_pts, pad = positions[nbr], nbr == members[:, None]
+
+            for axis in range(dim):
+                sums = []
+                for sign in (1.0, -1.0):
+                    moved = positions[members]
+                    moved[:, axis] += sign * h
+                    if self.ambient == "S3":
+                        moved /= np.linalg.norm(moved, axis=1)[:, None]
+                    own_local, own_diff = _chart(
+                        moved, nbr_pts, _tangent_bases(moved, self.ambient))
+                    own_local[pad] = 0.0
+                    local[lead], diff[lead] = own_local, own_diff
+                    moved_local, moved_diff = _chart(
+                        rest_base, moved[owner, None, :], rest_basis)
+                    local[rest, slot] = moved_local[:, 0]
+                    diff[rest, slot] = moved_diff[:, 0]
+                    terms = self._terms(local, diff, fan, counts)
+                    sums.append(np.add.reduceat(terms, lead))
+                grad[members, axis] = (sums[0] - sums[1]) / (2.0 * h)
+        return grad
 
 
 def estimate_curvatures(mesh):
     """Estimate a CurvatureField for a closed mesh in R^3 or on S^3."""
-    ring, counts, fan = _stencils(mesh)
-    pts, n, blocks = mesh.vertices, mesh.vertex_count, []
-    for start in range(0, n, _FIT_ROWS):
-        rows = np.arange(start, min(start + _FIT_ROWS, n))
-        basis = _tangent_bases(pts[rows], mesh.ambient)
-        local, diff = _ring_coords(pts, rows, ring, basis)
-        frame_n, weight = _fan_sums(local, diff, fan[rows])
-        (a1, a2), (s11, s12, s21, s22), (e1, e2) = _quadric_fit(local, frame_n, counts[rows])
-
-        # sign convention: eigenvalues of minus the Monge-patch shape operator,
-        # so the outward-wound unit sphere reports +1; the discriminant
-        # tr^2 - 4 det is expanded so that it does not cancel at umbilics
-        tr = -(s11 + s22)
-        disc = np.sqrt(np.maximum((s11 - s22) ** 2 + 4.0 * s12 * s21, 0.0))
-        k1 = 0.5 * (tr + disc)
-        k2 = 0.5 * (tr - disc)
-
-        # refine the normal with the fitted gradient
-        normal = frame_n - a1[:, None] * e1 - a2[:, None] * e2
-        normal /= np.linalg.norm(normal, axis=1)[:, None]
-        if basis is not None:
-            normal = np.einsum("vk,vkd->vd", normal, basis)
-            normal /= np.linalg.norm(normal, axis=1)[:, None]
-        blocks.append((k1, k2, normal, weight))
-    k1, k2, normal, weight = map(np.concatenate, zip(*blocks))
-    return CurvatureField(k1=k1, k2=k2, normal=normal, weight=weight)
+    return _LocalEnergyModel(mesh).field(mesh.vertices)

@@ -1,10 +1,12 @@
 """Bending and cross energies, the linking number, and the Gauss-map torus.
 
 Willmore energy integrates H^2 (plus the area term in the three-sphere) from
-a per-vertex curvature field. The cross energy of a two-component link is a
-midpoint-rule double sum; no singularity handling is needed because the
-components are disjoint. Every reduction goes through compensated summation
-so the reported values do not depend on evaluation order.
+a per-vertex curvature field, with the density the bending gradient also
+differentiates (curvature._bending_density). The cross energy of a
+two-component link is a midpoint-rule double sum; no singularity handling
+is needed because the components are disjoint. Every reduction goes through
+compensated summation so the reported values do not depend on evaluation
+order.
 
 The link sums run in one tiled pass over midpoint pairs (mesh._pair_tiles):
 each tile of about 2^16 pairs is reduced as it is made and its integrand
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._accum import stable_sum
-from .curvature import estimate_curvatures
+from .curvature import _bending_density, estimate_curvatures
 from .errors import InputError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
@@ -67,11 +69,9 @@ class GaussReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _willmore_sum(mesh, field):
-    h2 = field.mean() ** 2
-    if mesh.ambient == "S3":
-        return stable_sum((1.0 + h2) * field.weight)
-    return stable_sum(h2 * field.weight)
+def _willmore_sum(mesh):
+    f = estimate_curvatures(mesh)
+    return stable_sum(_bending_density(mesh.ambient, f.k1, f.k2, f.weight))
 
 
 def willmore_energy(mesh, error_estimate=True):
@@ -83,13 +83,13 @@ def willmore_energy(mesh, error_estimate=True):
     half-resolution recomputation; parameter sweeps that only rank values do
     not need it.
     """
-    value = _willmore_sum(mesh, estimate_curvatures(mesh))
+    value = _willmore_sum(mesh)
     error = None
     if error_estimate and mesh.recipe is not None:
         kind, params, res = mesh.recipe
         if res // 2 >= RESOLUTION_FLOOR:
             coarse = make_shape(kind, resolution=res // 2, **params)
-            coarse_value = _willmore_sum(coarse, estimate_curvatures(coarse))
+            coarse_value = _willmore_sum(coarse)
             error = abs(value - coarse_value) / (3.0 * max(abs(value), 1e-30))
     return EnergyReport(value=value, resolution=mesh.vertex_count, error=error)
 

@@ -257,39 +257,47 @@ def save_obj(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path):
+    """Contents of a UTF-8 text file; undecodable bytes are a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not a UTF-8 text file: {exc}") from exc
+
+
 def load_obj(path):
     """Read a mesh written by save_obj (or a plain v/f OBJ file) and check
     it with TriMesh.validate."""
     ambient = None
     verts, faces = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line.startswith(_AMBIENT_TAG):
-                tag = line[len(_AMBIENT_TAG):].strip()
-                if tag not in AMBIENTS:
-                    raise FormatError(f"line {lineno}: unknown ambient tag {tag!r}")
-                ambient = tag
-                continue
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) not in (4, 5):
-                    raise FormatError(f"line {lineno}: vertex line must have "
-                                      "3 or 4 coordinates")
-                try:
-                    verts.append([float(x) for x in parts[1:]])
-                except ValueError as exc:
-                    raise FormatError(f"line {lineno}: bad vertex coordinate") from exc
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise FormatError(f"line {lineno}: only triangles are supported")
-                try:
-                    idx = [int(x.split("/")[0]) - 1 for x in parts[1:]]
-                except ValueError as exc:
-                    raise FormatError(f"line {lineno}: bad face index") from exc
-                faces.append(idx)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if line.startswith(_AMBIENT_TAG):
+            tag = line[len(_AMBIENT_TAG):].strip()
+            if tag not in AMBIENTS:
+                raise FormatError(f"line {lineno}: unknown ambient tag {tag!r}")
+            ambient = tag
+            continue
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) not in (4, 5):
+                raise FormatError(f"line {lineno}: vertex line must have "
+                                  "3 or 4 coordinates")
+            try:
+                verts.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: bad vertex coordinate") from exc
+        elif parts[0] == "f":
+            if len(parts) != 4:
+                raise FormatError(f"line {lineno}: only triangles are supported")
+            try:
+                idx = [int(x.split("/")[0]) - 1 for x in parts[1:]]
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: bad face index") from exc
+            faces.append(idx)
     if not verts:
         raise FormatError("no vertices found")
     widths = {len(v) for v in verts}
@@ -320,11 +328,10 @@ def save_link(link, path):
 
 
 def load_link(path):
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "gamma1" not in payload or "gamma2" not in payload:
         raise FormatError("link file needs gamma1 and gamma2 arrays")
     try:

@@ -2,40 +2,18 @@
 
 Gradients are central finite differences of the same discrete energies the
 rest of the package reports, so a descent step can never game the
-measurement. Brute-force differencing would refit curvature on the whole
-mesh per coordinate; instead a probe of one vertex refits only the energy
-terms it can change, those of the vertex and of its two-ring.
-
-Vertices are probed in fixed chunks of consecutive indices. Each member of a
-chunk owns a copy of its stencil rows: its own row, then one row per
-two-ring vertex in which the member is moved at exactly one slot and every
-other entry is unmoved. Chunk-mates may be neighbours, but no row copy sees
-two of them move, so a chunk's probes give every per-vertex derivative
-bit for bit, however the vertices are grouped.
-
-The refits use the dense-stencil fit kernel of curvature.py. Once per chunk,
-the chart coordinates, ambient differences and S^3 tangent bases of every
-row copy are taken at the unperturbed positions. A probe then recharts each
-member's own row from its moved position against its unmoved two-ring and,
-in every other row, rewrites the one slot that holds its member; fan normals
-and areas are read from those slots, and the fit runs on all rows. Entries a
-probe leaves alone are the same numbers in both probes of a difference, so
-they cancel exactly. The chunk size bounds the working set of one kernel
-call: the rows of many more vertices at once outgrow the cache and run
-slower.
-
-On the three-sphere, positions are renormalized to unit length before every
-evaluation. Differencing the composition with the projection makes radial
-gradient components vanish identically, so the descent never needs an
-explicit tangency constraint.
+measurement. The bending descent differentiates and line-searches one model,
+curvature._LocalEnergyModel, built once for the mesh's connectivity; its
+gradient refits only the stencil rows a probe can change (see curvature.py).
+The cross-energy gradient recomputes only the quadrature rows of the moved
+vertex's two segments.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import (_chart, _fan_sums, _quadric_fit, _ring_coords,
-                        _stencils, _tangent_bases)
+from .curvature import _LocalEnergyModel
 from .energies import _cross_energy_sum, _resample_closed, willmore_energy
 from .errors import InputError, MeshQualityError, ParameterError
 from .mesh import PolyLink, _diameter, _min_gap, _pair_tiles, _segments
@@ -56,88 +34,8 @@ class SweepReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# localized energy terms
+# bending gradient
 # ---------------------------------------------------------------------------
-
-
-# vertices per gradient chunk, about 600 stencil row copies on the
-# near-regular generated meshes
-_CHUNK = 32
-
-
-class _LocalEnergyModel:
-    """Per-vertex bending energy terms with localized refits.
-
-    The combinatorics (dense two-ring and fan tables) depend only on the
-    faces and are precomputed once; after that, energy terms for any subset
-    of vertices can be evaluated at any vertex positions.
-    """
-
-    def __init__(self, mesh):
-        self.ambient = mesh.ambient
-        self.ring, self.counts, self.fan = _stencils(mesh)
-
-    def _terms(self, local, diff, fan, counts):
-        """Energy term (H^2 w, plus area weight w itself on S^3) of each
-        stencil row from its fit inputs."""
-        frame_n, weight = _fan_sums(local, diff, fan)
-        _, (s11, _, _, s22), _ = _quadric_fit(local, frame_n, counts)
-        h2 = (0.5 * (s11 + s22)) ** 2
-        return (1.0 + h2) * weight if self.ambient == "S3" else h2 * weight
-
-    def energy_terms(self, positions, rows):
-        """Energy term of each vertex in `rows` at the given positions; the
-        same fit as the full-mesh curvature estimate."""
-        local, diff = _ring_coords(positions, rows, self.ring,
-                                   _tangent_bases(positions[rows], self.ambient))
-        return self._terms(local, diff, self.fan[rows], self.counts[rows])
-
-    def gradient(self, positions):
-        """Central-difference gradient of the total energy, (V, dim)."""
-        n, dim = positions.shape
-        h = 1e-5 * max(_diameter(positions), 1e-12)
-        grad = np.zeros((n, dim))
-        for start in range(0, n, _CHUNK):
-            members = np.arange(start, min(start + _CHUNK, n))
-            # each member's row copies: its own row, then its two-ring
-            sizes = self.counts[members] + 1
-            lead = np.cumsum(sizes) - sizes
-            nbr = self.ring[members]
-            block = np.concatenate([members[:, None], nbr], axis=1)
-            rows = block[np.arange(block.shape[1]) < sizes[:, None]]
-            rest = np.delete(np.arange(len(rows)), lead)
-            owner = np.repeat(np.arange(len(members)), sizes)[rest]
-
-            basis = _tangent_bases(positions[rows], self.ambient)
-            local, diff = _ring_coords(positions, rows, self.ring, basis)
-            fan, counts = self.fan[rows], self.counts[rows]
-            # every other row sees its member at exactly one two-ring slot;
-            # a probe rewrites the member rows and those slots, all other
-            # entries keep their unperturbed values
-            slot = np.argmax(self.ring[rows[rest]] == members[owner, None], axis=1)
-            rest_base = positions[rows[rest]]
-            rest_basis = None if basis is None else basis[rest]
-            nbr_pts, pad = positions[nbr], nbr == members[:, None]
-
-            for axis in range(dim):
-                sums = []
-                for sign in (1.0, -1.0):
-                    moved = positions[members]
-                    moved[:, axis] += sign * h
-                    if self.ambient == "S3":
-                        moved /= np.linalg.norm(moved, axis=1)[:, None]
-                    own_local, own_diff = _chart(
-                        moved, nbr_pts, _tangent_bases(moved, self.ambient))
-                    own_local[pad] = 0.0
-                    local[lead], diff[lead] = own_local, own_diff
-                    moved_local, moved_diff = _chart(
-                        rest_base, moved[owner, None, :], rest_basis)
-                    local[rest, slot] = moved_local[:, 0]
-                    diff[rest, slot] = moved_diff[:, 0]
-                    terms = self._terms(local, diff, fan, counts)
-                    sums.append(np.add.reduceat(terms, lead))
-                grad[members, axis] = (sums[0] - sums[1]) / (2.0 * h)
-        return grad
 
 
 def willmore_gradient(mesh):
@@ -152,9 +50,10 @@ def _stationarity(gn, diameter, value):
 
 def willmore_relative_gradient(mesh):
     """Scale-free stationarity measure of the bending energy."""
-    g = willmore_gradient(mesh)
-    value = willmore_energy(mesh, error_estimate=False).value
-    return _stationarity(np.linalg.norm(g), mesh.bbox_diameter(), value)
+    model = _LocalEnergyModel(mesh)
+    g = model.gradient(mesh.vertices)
+    return _stationarity(np.linalg.norm(g), mesh.bbox_diameter(),
+                         model.energy(mesh.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +102,7 @@ def willmore_descent(mesh, steps=20, grad_tol=1e-6, move_scale=0.02):
     def evaluate(positions):
         if model.ambient == "S3":
             positions = positions / np.linalg.norm(positions, axis=1)[:, None]
-        probe = mesh.with_vertices(positions)
-        return willmore_energy(probe, error_estimate=False).value
+        return model.energy(positions)
 
     pos = mesh.vertices.copy()
     energies = [evaluate(pos)]

@@ -17,8 +17,8 @@ import numpy as np
 
 from .canonical import _jacobian, hk_verify
 from .conformal import dilate_mesh, radial_limit_check
-from .curvature import estimate_curvatures
-from .energies import (_far_pole, energy_linking_bound_check,
+from .curvature import _bending_density, estimate_curvatures
+from .energies import (_far_pole, _linking_bound, energy_linking_bound_check,
                        gauss_area_energy_check, gauss_map_torus,
                        mobius_energy, willmore_energy)
 from .fixtures import ellipsoid_s3, perturb_link, perturb_mesh
@@ -123,9 +123,9 @@ def check_cross_energy_bound(params):
     rel = abs(rep.value - TWO_PI_SQ) / TWO_PI_SQ
     ok = rel <= 0.01
     rows = [f"E={rep.value:.4f} rel={rel:.2e}"]
-    margins = []
-    for link in (hopf, make_shape("torus_link", resolution=res, p=2, q=4)):
-        margins.append(energy_linking_bound_check(link).margin)
+    torus = make_shape("torus_link", resolution=res, p=2, q=4)
+    margins = [_linking_bound(hopf, rep)[1].margin,
+               energy_linking_bound_check(torus).margin]
     base = make_shape("hopf_link", resolution=128)
     for seed in range(params["perturbed_links"]):
         pert = perturb_link(base, 0.03, seed=seed)
@@ -200,9 +200,9 @@ def check_parallel_area_bound(params):
     worst = 0.0
     for _, mesh in fixtures:
         field = estimate_curvatures(mesh)
-        h2 = field.mean() ** 2
+        density = _bending_density("S3", field.k1, field.k2, 1.0)
         jac = _jacobian(field, np.linspace(-np.pi, np.pi, 65).reshape(-1, 1))
-        slack = (1.0 + h2 - jac) / (1.0 + h2 + np.abs(jac))
+        slack = (density - jac) / (density + np.abs(jac))
         worst = min(worst, float(slack.min()))
     ok &= worst >= -1e-12
     rows.append(f"pointwise slack={worst:.2e}")

@@ -159,6 +159,15 @@ def test_missing_file_exits_2(capsys):
     assert main(["energy", "/nonexistent/mesh.obj"]) == 2
 
 
+@pytest.mark.parametrize("command, name", [("energy", "m.obj"),
+                                           ("link-energy", "l.json")])
+def test_undecodable_file_exits_2(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(bytes(range(128, 256)) * 4)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not a UTF-8 text file")
+
+
 def test_bad_param_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.obj")
     assert main(["generate", "sphere", "--param", "radius=abc",
