@@ -23,15 +23,7 @@ def unit_directions(count, dim, seed, antipodal=False):
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(x, axis=1)
-    # a standard normal draw is never numerically zero in practice, but
-    # resample defensively rather than divide by zero
-    bad = norms < 1e-12
-    while np.any(bad):
-        x[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(x, axis=1)
-        bad = norms < 1e-12
-    x /= norms[:, None]
+    x /= np.linalg.norm(x, axis=1)[:, None]
     if antipodal:
         first = np.argmax(np.abs(x) > 1e-14, axis=1)
         signs = np.sign(x[np.arange(len(x)), first])

@@ -24,8 +24,8 @@ from .optimize import mobius_descent, tube_family_sweep, willmore_descent
 from .projection import project_link
 from .shapes import KNOWN_SHAPES, LINK_KINDS, make_shape
 from .spectra import jacobi_index_analytic, jacobi_index_numeric
-from .sweepouts import (eigenfunction_width_series, harmonic_width_series,
-                        scaling_fit)
+from .sweepouts import (_WIDTH_LENGTHS, eigenfunction_width_series,
+                        harmonic_width_series, scaling_fit)
 
 
 def _emit(text, output):
@@ -125,8 +125,7 @@ def cmd_widths(args):
     mesh = load_obj(args.mesh)
     series_fn = {"harmonic": harmonic_width_series,
                  "eigen": eigenfunction_width_series}[args.family]
-    lengths = tuple(args.lengths) if args.lengths else (
-        4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49)
+    lengths = tuple(args.lengths) if args.lengths else _WIDTH_LENGTHS
     series = series_fn(mesh, lengths=lengths, seed=args.seed)
     lines = ["p,width,width_over_sqrt_p"]
     for est in series:
@@ -151,16 +150,14 @@ def cmd_laplace(args):
 
 def cmd_index(args):
     if args.analytic:
-        rep = jacobi_index_analytic(args.analytic)
-        payload = {"index": rep.index, "near_zero": rep.near_zero,
-                   "eigenvalues": list(rep.eigenvalues), "source": "analytic"}
+        rep, source = jacobi_index_analytic(args.analytic), "analytic"
+    elif args.mesh:
+        rep, source = jacobi_index_numeric(load_obj(args.mesh)), "numeric"
     else:
-        if not args.mesh:
-            raise FormatError("index needs a mesh file or --analytic")
-        rep = jacobi_index_numeric(load_obj(args.mesh))
-        payload = {"index": rep.index, "near_zero": rep.near_zero,
-                   "eigenvalues": list(rep.eigenvalues), "source": "numeric"}
-    _emit(_json(payload), args.output)
+        raise FormatError("index needs a mesh file or --analytic")
+    _emit(_json({"index": rep.index, "near_zero": rep.near_zero,
+                 "eigenvalues": list(rep.eigenvalues), "source": source}),
+          args.output)
     return 0
 
 
@@ -184,8 +181,7 @@ def cmd_optimize(args):
         lines += ["%d,%.17g,%.17g" % (i, e, g)
                   for i, (e, g) in enumerate(zip(trace.energies,
                                                  trace.gradient_norms))]
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit("\n".join(lines), args.trace)
     _emit(_json({"initial_energy": trace.energies[0],
                  "final_energy": trace.energies[-1],
                  "accepted_steps": len(trace.energies) - 1,
@@ -326,7 +322,7 @@ def main(argv=None):
         code = args.fn(args)
         print(f"done in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
         return code
-    except (GeometryError, FormatError, OSError) as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

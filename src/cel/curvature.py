@@ -51,11 +51,10 @@ normal so that the unit round sphere with outward winding has k1 = k2 = +1.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._accum import stable_sum
 from .errors import MeshQualityError
-from .mesh import _diameter
+from .mesh import _adjacency, _diameter, _flat_area
 
 
 @dataclass
@@ -79,10 +78,7 @@ def _two_ring(mesh):
     """One-ring plus two-ring neighbors of each vertex, as a CSR pattern
     with sorted rows and unit entries. Path counts are summed in int64: in
     a narrow type a count can wrap to zero and drop its neighbor."""
-    n = mesh.vertex_count
-    tail, head = mesh.faces.ravel(), mesh.faces[:, [1, 2, 0]].ravel()
-    ones = np.ones(2 * len(tail), dtype=np.int64)
-    adj = sp.csr_matrix((ones, (np.r_[tail, head], np.r_[head, tail])), shape=(n, n))
+    adj = _adjacency(mesh.faces, mesh.vertex_count)
     two = adj + adj @ adj
     # every vertex of a face reaches itself in two steps, so the diagonal
     # is stored and setdiag rewrites it in place
@@ -230,10 +226,7 @@ def _fan_sums(local, diff, fan):
     cross = _cross(u, w)
     if diff is not local:
         u, w = corners(diff)
-    uu = np.einsum("...d,...d->...", u, u)
-    vv = np.einsum("...d,...d->...", w, w)
-    uv = np.einsum("...d,...d->...", u, w)
-    area = 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
+    area = _flat_area(u, w)
     acc = cross.sum(axis=1)
     norms = np.linalg.norm(acc, axis=1)
     if np.any(norms < 1e-300):

@@ -99,6 +99,14 @@ def willmore_energy(mesh, error_estimate=True):
 # ---------------------------------------------------------------------------
 
 
+def _cross_terms(m1, len1, m2, len2):
+    """Tiles (rows, d2, terms) of the integrand |v1||v2| / |m1 - m2|^2 between
+    midpoints m1 (n, ..., d), one or more segments per row, with lengths len1
+    (n, ...), and midpoints m2 (m, d) with lengths len2 (m,)."""
+    for rows, _, d2 in _pair_tiles(m1, m2):
+        yield rows, d2, (len1[rows, ..., None] * len2) / d2
+
+
 def _cross_energy_sum(g1, g2, ratios=None):
     """Midpoint-rule sum of |v1||v2| / |m1 - m2|^2 over segment pairs. A
     list passed as `ratios` gets each tile's least midpoint distance over
@@ -109,10 +117,10 @@ def _cross_energy_sum(g1, g2, ratios=None):
     len2 = np.linalg.norm(v2, axis=1)
 
     def tiles():
-        for rows, _, d2 in _pair_tiles(m1, m2):
+        for rows, d2, terms in _cross_terms(m1, len1, m2, len2):
             if ratios is not None:
                 ratios.append(float((np.sqrt(d2) / np.maximum(len1[rows, None], len2)).min()))
-            yield ((len1[rows, None] * len2) / d2).ravel().tolist()
+            yield terms.ravel().tolist()
 
     return math.fsum(itertools.chain.from_iterable(tiles()))
 

@@ -4,7 +4,7 @@ genus-two surface, and seeded perturbation helpers."""
 import numpy as np
 
 from .errors import ParameterError
-from .mesh import PolyLink, TriMesh
+from .mesh import PolyLink, TriMesh, _segments
 from .projection import lift_mesh
 from .shapes import ellipsoid, tube_torus
 
@@ -85,8 +85,7 @@ def perturb_link(link, amplitude, seed=0):
     if amplitude < 0.0:
         raise ParameterError("amplitude must be nonnegative")
     rng = np.random.default_rng(seed)
-    segs = [np.linalg.norm(np.roll(g, -1, axis=0) - g, axis=1)
-            for g in (link.gamma1, link.gamma2)]
+    segs = [np.linalg.norm(_segments(g)[1], axis=1) for g in (link.gamma1, link.gamma2)]
     scale = amplitude * float(np.mean(np.concatenate(segs)))
     spherical = link.on_sphere()
     g1 = link.gamma1 + scale * rng.standard_normal(link.gamma1.shape)

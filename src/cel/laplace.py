@@ -42,6 +42,18 @@ def lumped_mass(mesh):
                                 minlength=mesh.vertex_count))
 
 
+def _eigsh(operator, mass, k, sigma, vectors):
+    """k eigenvalues of operator phi = lambda mass phi nearest sigma, by
+    shift-invert Lanczos from the all-ones start vector, with the
+    eigenvectors when `vectors` is set."""
+    try:
+        return spla.eigsh(operator, k=k, M=mass, sigma=sigma, which="LM",
+                          v0=np.ones(operator.shape[0]), return_eigenvectors=vectors)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError("eigenvalue iteration did not converge; "
+                          "try lowering k or refining the mesh") from exc
+
+
 def laplace_eigs(mesh, k):
     """Smallest k eigenpairs of L phi = lambda M phi, nondecreasing.
 
@@ -51,15 +63,7 @@ def laplace_eigs(mesh, k):
     n = mesh.vertex_count
     if not 1 <= k <= n // 10:
         raise ParameterError(f"need 1 <= k <= V/10 = {n // 10}")
-    stiffness = cotan_stiffness(mesh)
-    mass = lumped_mass(mesh)
-    v0 = np.ones(n)
-    try:
-        vals, vecs = spla.eigsh(stiffness, k=k, M=mass, sigma=-1e-8,
-                                which="LM", v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError("eigenvalue iteration did not converge; "
-                          "try lowering k or refining the mesh") from exc
+    vals, vecs = _eigsh(cotan_stiffness(mesh), lumped_mass(mesh), k, -1e-8, True)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]

@@ -25,6 +25,23 @@ def _diameter(points):
     return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
 
 
+def _flat_area(u, w):
+    """Areas of the triangles spanned by the edge vectors u and w (..., d),
+    from the Gram determinant, in any dimension d."""
+    uu = np.einsum("...d,...d->...", u, u)
+    ww = np.einsum("...d,...d->...", w, w)
+    uw = np.einsum("...d,...d->...", u, w)
+    return 0.5 * np.sqrt(np.maximum(uu * ww - uw * uw, 0.0))
+
+
+def _adjacency(faces, n):
+    """Sparse (n, n) int64 vertex adjacency; entry (a, b) counts the faces
+    that have the edge a-b."""
+    tail, head = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    ones = np.ones(2 * len(tail), dtype=np.int64)
+    return sp.csr_matrix((ones, (np.r_[tail, head], np.r_[head, tail])), shape=(n, n))
+
+
 @dataclass
 class TriMesh:
     """Closed triangle mesh.
@@ -71,25 +88,18 @@ class TriMesh:
     def face_count(self):
         return len(self.faces)
 
-    def edges(self, return_counts=False):
+    def edges(self):
         """Unique undirected edges as sorted index pairs, in lexicographic
         order; each pair is keyed by one integer, a * V + b."""
         raw = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         n = self.vertex_count
-        keys, counts = np.unique(raw[:, 0] * n + raw[:, 1], return_counts=True)
-        edges = np.stack(np.divmod(keys, n), axis=1)
-        return (edges, counts) if return_counts else edges
+        return np.stack(np.divmod(np.unique(raw[:, 0] * n + raw[:, 1]), n), axis=1)
 
     def face_areas(self):
         """Flat triangle areas, valid in any ambient dimension."""
         a = self.vertices[self.faces[:, 0]]
-        u = self.vertices[self.faces[:, 1]] - a
-        v = self.vertices[self.faces[:, 2]] - a
-        uu = np.einsum("ij,ij->i", u, u)
-        vv = np.einsum("ij,ij->i", v, v)
-        uv = np.einsum("ij,ij->i", u, v)
-        g = uu * vv - uv * uv
-        return 0.5 * np.sqrt(np.maximum(g, 0.0))
+        return _flat_area(self.vertices[self.faces[:, 1]] - a,
+                          self.vertices[self.faces[:, 2]] - a)
 
     def area(self):
         return stable_sum(self.face_areas())
@@ -131,14 +141,13 @@ def euler_genus(mesh):
     Raises MeshQualityError if the mesh is not closed, not connected, or the
     characteristic is odd (which a closed orientable surface cannot have).
     """
-    edges, counts = mesh.edges(return_counts=True)
-    if np.any(counts != 2):
+    adj = _adjacency(mesh.faces, mesh.vertex_count)
+    # a face with a repeated corner puts its self-edge on the diagonal
+    if np.any(adj.data != 2) or adj.diagonal().any():
         raise MeshQualityError("genus undefined: mesh is not closed")
-    graph = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                          shape=(mesh.vertex_count,) * 2)
-    if connected_components(graph, directed=False, return_labels=False) != 1:
+    if connected_components(adj, directed=False, return_labels=False) != 1:
         raise MeshQualityError("genus undefined: mesh is not connected")
-    chi = mesh.vertex_count - len(edges) + mesh.face_count
+    chi = mesh.vertex_count - adj.nnz // 2 + mesh.face_count
     if chi % 2 != 0:
         raise MeshQualityError(f"odd Euler characteristic {chi}")
     genus = (2 - chi) // 2
@@ -212,17 +221,14 @@ class PolyLink:
     def dim(self):
         return self.gamma1.shape[1]
 
-    def segments(self, which):
-        return _segments(self.gamma1 if which == 1 else self.gamma2)
-
     def min_distance(self):
         """Smallest distance between sample points of the two components.
 
         Vertices and segment midpoints are compared; this is a sampling
         bound, not an exact curve distance, and is documented as such.
         """
-        return _min_gap(np.vstack([self.gamma1, self.segments(1)[0]]),
-                        np.vstack([self.gamma2, self.segments(2)[0]]))
+        return _min_gap(np.vstack([self.gamma1, _segments(self.gamma1)[0]]),
+                        np.vstack([self.gamma2, _segments(self.gamma2)[0]]))
 
     def diameter(self):
         return _diameter(np.vstack([self.gamma1, self.gamma2]))
@@ -304,16 +310,13 @@ def load_obj(path):
     if len(widths) != 1:
         raise FormatError("mixed 3- and 4-component vertex lines")
     verts = np.array(verts, dtype=np.float64)
-    faces = np.array(faces, dtype=np.int64)
-    if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
-        raise FormatError("face references a missing vertex")
     if ambient is None:
         ambient = "S3" if verts.shape[1] == 4 else "R3"
-    if ambient == "S3" and verts.shape[1] != 4:
-        raise FormatError("ambient tag S3 requires 4-component vertices")
-    if ambient == "R3" and verts.shape[1] != 3:
-        raise FormatError("ambient tag R3 requires 3-component vertices")
-    return TriMesh(verts, faces, ambient=ambient).validate()
+    try:
+        mesh = TriMesh(verts, np.array(faces, dtype=np.int64), ambient=ambient)
+    except ParameterError as exc:
+        raise FormatError(str(exc)) from exc
+    return mesh.validate()
 
 
 def save_link(link, path):
@@ -337,5 +340,5 @@ def load_link(path):
     try:
         return PolyLink(np.array(payload["gamma1"], dtype=np.float64),
                         np.array(payload["gamma2"], dtype=np.float64))
-    except (ValueError, ParameterError) as exc:
+    except (TypeError, ValueError, ParameterError) as exc:
         raise FormatError(f"bad link arrays: {exc}") from exc

@@ -14,9 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import _LocalEnergyModel
-from .energies import _cross_energy_sum, _resample_closed, willmore_energy
+from .energies import (_cross_energy_sum, _cross_terms, _resample_closed,
+                       willmore_energy)
 from .errors import InputError, MeshQualityError, ParameterError
-from .mesh import PolyLink, _diameter, _min_gap, _pair_tiles, _segments
+from .mesh import PolyLink, _diameter, _min_gap, _segments
 from .shapes import tube_torus
 
 
@@ -160,8 +161,8 @@ def mobius_gradient(link):
                 mid = 0.5 * (ends[:, :2] + ends[:, 1:])
                 ln = np.linalg.norm(ends[:, 1:] - ends[:, :2], axis=2)
                 vals.append(np.concatenate([
-                    ((ln[rows, :, None] * lb) / d2).reshape(len(d2), -1).sum(axis=1)
-                    for rows, _, d2 in _pair_tiles(mid, mb)]))
+                    terms.reshape(len(terms), -1).sum(axis=1)
+                    for _, _, terms in _cross_terms(mid, ln, mb, lb)]))
             g[:, axis] = (vals[0] - vals[1]) / (2.0 * h)
         grads.append(g)
     return grads[0], grads[1]

@@ -11,14 +11,7 @@ import numpy as np
 
 from .errors import InputError, NearPoleError, ParameterError
 from .mesh import PolyLink, TriMesh
-from .shapes import _orthobasis
-
-
-def _check_pole(pole):
-    pole = np.asarray(pole, dtype=np.float64)
-    if pole.shape != (4,) or abs(np.linalg.norm(pole) - 1.0) > 1e-9:
-        raise ParameterError("pole must be a unit vector in R^4")
-    return pole / np.linalg.norm(pole)
+from .shapes import _orthobasis, _unit_r4
 
 
 def _rows(points, dim):
@@ -45,7 +38,7 @@ def stereographic(points, pole, basis=None):
     deterministic choice). The equator two-sphere of the pole maps to the
     unit sphere, the antipode of the pole to the origin.
     """
-    pole = _check_pole(pole)
+    pole = _unit_r4(pole, "pole")
     pts = _rows(points, 4)
     _check_on_sphere(pts)
     if basis is None:
@@ -62,7 +55,7 @@ def stereographic(points, pole, basis=None):
 
 def stereographic_inverse(points, pole, basis=None):
     """Inverse of `stereographic`: (n, 3) points of R^3 map back to S^3 \\ {pole}."""
-    pole = _check_pole(pole)
+    pole = _unit_r4(pole, "pole")
     pts = _rows(points, 3)
     if basis is None:
         basis = _orthobasis(pole)

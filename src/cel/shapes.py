@@ -123,9 +123,8 @@ def tube_torus(big_radius=2.0, tube_radius=1.0, resolution=32):
     if not 0.0 < tube_radius < big_radius:
         raise ParameterError("need 0 < tube_radius < big_radius")
     n = resolution
-    u = 2.0 * np.pi * np.arange(n) / n
-    v = 2.0 * np.pi * np.arange(n) / n
-    uu, vv = np.meshgrid(u, v, indexing="ij")
+    t = 2.0 * np.pi * np.arange(n) / n
+    uu, vv = np.meshgrid(t, t, indexing="ij")
     ring = big_radius + tube_radius * np.cos(uu)
     verts = np.stack([ring * np.cos(vv), ring * np.sin(vv),
                       tube_radius * np.sin(uu)], axis=-1).reshape(-1, 3)
@@ -141,15 +140,22 @@ def clifford_torus(resolution=32):
     radius 1/sqrt(2)."""
     resolution = _check_resolution(resolution)
     n = resolution
-    u = 2.0 * np.pi * np.arange(n) / n
-    v = 2.0 * np.pi * np.arange(n) / n
-    uu, vv = np.meshgrid(u, v, indexing="ij")
+    t = 2.0 * np.pi * np.arange(n) / n
+    uu, vv = np.meshgrid(t, t, indexing="ij")
     s = 1.0 / np.sqrt(2.0)
     verts = np.stack([np.cos(uu), np.sin(uu), np.cos(vv), np.sin(vv)],
                      axis=-1).reshape(-1, 4) * s
     faces = _grid_torus_faces(verts, n)
     return TriMesh(verts, faces, ambient="S3",
                    recipe=("clifford_torus", {}, resolution))
+
+
+def _unit_r4(vector, name):
+    """`vector` as a unit array of R^4, or a ParameterError naming it."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (4,) or abs(np.linalg.norm(vector) - 1.0) > 1e-9:
+        raise ParameterError(f"{name} must be a unit vector in R^4")
+    return vector / np.linalg.norm(vector)
 
 
 def _orthobasis(p):
@@ -177,12 +183,9 @@ def geodesic_sphere(center, radius, resolution=32):
     """Distance sphere in S^3: points at geodesic distance `radius` from
     `center`. Radius pi/2 gives a great two-sphere."""
     resolution = _check_resolution(resolution)
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (4,) or abs(np.linalg.norm(center) - 1.0) > 1e-9:
-        raise ParameterError("center must be a unit vector in R^4")
+    center = _unit_r4(center, "center")
     if not 0.0 < radius < np.pi:
         raise ParameterError("radius must lie in (0, pi)")
-    center = center / np.linalg.norm(center)
     basis = _orthobasis(center)  # (3, 4)
     q, faces = _icosphere(resolution)
     verts = math.cos(radius) * center + math.sin(radius) * (q @ basis)
@@ -253,10 +256,19 @@ _KINDS = {**_MESH_KINDS, **_LINK_KINDS}
 
 
 def make_shape(kind, resolution, **params):
-    """Build a named shape. Mesh kinds return TriMesh, link kinds PolyLink."""
+    """Build a named shape. Mesh kinds return TriMesh, link kinds PolyLink.
+    Every parameter but the `center` of a geodesic sphere is one number."""
     if kind not in _KINDS:
         raise ParameterError(f"unknown shape kind {kind!r}; known kinds: {list(KNOWN_SHAPES)}")
-    unknown = sorted(set(params) - set(inspect.signature(_KINDS[kind]).parameters))
+    signature = inspect.signature(_KINDS[kind])
+    unknown = sorted(set(params) - set(signature.parameters))
     if unknown:
         raise ParameterError(f"{kind} takes no parameter(s) {unknown}")
+    try:
+        signature.bind(resolution=resolution, **params)
+    except TypeError as exc:
+        raise ParameterError(f"{kind}: {exc}") from exc
+    lists = sorted(k for k, v in params.items() if k != "center" and np.ndim(v))
+    if lists:
+        raise ParameterError(f"{kind}: parameter(s) {lists} take one number, not a list")
     return _KINDS[kind](resolution=resolution, **params)

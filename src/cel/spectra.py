@@ -13,11 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .curvature import estimate_curvatures
-from .errors import NotMinimalError, ParameterError, SolverError
-from .laplace import cotan_stiffness, lumped_mass
+from .errors import NotMinimalError, ParameterError
+from .laplace import _eigsh, cotan_stiffness, lumped_mass
 
 
 class IndexReport(NamedTuple):
@@ -105,17 +104,11 @@ def jacobi_index_numeric(mesh):
 
     n = mesh.vertex_count
     k = _EIGENPAIRS
-    v0 = np.ones(n)
     while True:
         if k > n // 10:
             raise ParameterError("eigenvalue window cannot be made wide "
                                  "enough at this resolution; refine the mesh")
-        try:
-            vals = spla.eigsh(operator, k=k, M=mass, sigma=sigma, which="LM",
-                              v0=v0, return_eigenvectors=False)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError("index eigenproblem did not converge") from exc
-        vals = np.sort(vals)
+        vals = np.sort(_eigsh(operator, mass, k, sigma, False))
         reach = float(np.max(np.abs(vals - sigma)))
         if reach >= 0.5 * pot_max + 0.1:
             break

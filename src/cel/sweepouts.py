@@ -376,8 +376,11 @@ def _series(mesh, columns, lengths, seed):
     return estimates
 
 
-def harmonic_width_series(mesh, lengths=(4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49),
-                          seed=0):
+# default family sizes of the width series
+_WIDTH_LENGTHS = (4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49)
+
+
+def harmonic_width_series(mesh, lengths=_WIDTH_LENGTHS, seed=0):
     """Width estimates for truncations of the harmonic basis on S^2.
 
     Level q of the series draws max(500, 100 q) coefficient directions where

@@ -239,6 +239,27 @@ def test_unknown_shape_parameter_exits_2(tmp_path, capsys):
     assert "error: sphere takes no parameter(s) ['bogus']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["geodesic_sphere"], "error: geodesic_sphere: missing a required argument: 'center'"),
+    (["geodesic_sphere", "--param", "center=1,0,0,0"],
+     "error: geodesic_sphere: missing a required argument: 'radius'"),
+    (["sphere", "--param", "radius=1,2"], "error: sphere: parameter(s) ['radius'] take one number"),
+    (["torus_link", "--param", "p=2,4"], "error: torus_link: parameter(s) ['p'] take one number"),
+], ids=["no_center", "no_radius", "radius_list", "p_list"])
+def test_bad_shape_call_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.obj"
+    assert main(["generate", *argv, "--resolution", "8", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_link_with_a_non_numeric_entry_exits_2(tmp_path, capsys):
+    link = tmp_path / "l.json"
+    link.write_text(json.dumps({"gamma1": [{"a": 1}], "gamma2": [[0, 0, 0]]}))
+    assert main(["link-energy", str(link)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad link arrays: ")
+
+
 def test_resolution_as_a_parameter_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.obj")
     assert main(["generate", "sphere", "--param", "resolution=9", "-o", out]) == 2

@@ -18,7 +18,7 @@ from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
 from cel.curvature import _tangent_bases
 from cel.energies import gauss_map_torus
 from cel.fixtures import ellipsoid_s3, genus2_surface, perturb_mesh
-from cel.mesh import _pair_tiles
+from cel.mesh import _pair_tiles, _segments
 from cel.projection import stereographic, stereographic_inverse
 from cel.shapes import _grid_torus_faces, _icosahedron, _icosphere
 
@@ -35,8 +35,6 @@ def test_mesh_validate_all_kinds():
                      ("geodesic_sphere", dict(center=(0, 1, 0, 0), radius=0.8))):
         mesh = make_shape(kind, resolution=12, **kw)
         mesh.validate()
-        counts = mesh.edges(return_counts=True)[1]
-        assert np.all(counts == 2), kind
 
 
 def test_euler_genus():
@@ -62,6 +60,14 @@ def test_euler_genus_rejects_disjoint_spheres():
                    np.vstack([s.faces, s.faces + s.vertex_count]))
     with pytest.raises(cel.MeshQualityError, match="not connected"):
         euler_genus(pair)
+
+
+def test_euler_genus_rejects_a_face_with_a_repeated_corner():
+    s = make_shape("sphere", resolution=8)
+    far = int(np.argmin(s.vertices @ s.vertices[0]))    # not adjacent to 0
+    mesh = TriMesh(s.vertices, np.vstack([s.faces, [[0, 0, far]]]))
+    with pytest.raises(cel.MeshQualityError, match="not closed"):
+        euler_genus(mesh)
 
 
 def _reference_grid_faces(positions, n, m):
@@ -271,8 +277,8 @@ def test_min_distance_matches_brute_force():
     for dim in (3, 4):
         link = cel.PolyLink(rng.normal(size=(300, dim)),
                             rng.normal(size=(700, dim)) + 4.0)
-        p1 = np.vstack([link.gamma1, link.segments(1)[0]])
-        p2 = np.vstack([link.gamma2, link.segments(2)[0]])
+        p1 = np.vstack([link.gamma1, _segments(link.gamma1)[0]])
+        p2 = np.vstack([link.gamma2, _segments(link.gamma2)[0]])
         brute = np.sqrt(np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2).min())
         assert link.min_distance() == brute
 
@@ -469,6 +475,20 @@ def test_projection_pole_guard():
     pole = np.array([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(NearPoleError):
         stereographic(pole[None, :], pole)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: stereographic(np.array([[1.0, 0.0, 0.0, 0.0]]), v), "pole"),
+    (lambda v: stereographic_inverse(np.zeros((1, 3)), v), "pole"),
+    (lambda v: cel.project_link(cel.hopf_link(resolution=8), v), "pole"),
+    (lambda v: make_shape("geodesic_sphere", resolution=8, center=v, radius=0.5),
+     "center"),
+], ids=["stereographic", "inverse", "project_link", "geodesic_sphere"])
+@pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0),
+                                 (0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1e-4)])
+def test_unit_vector_check_names_its_argument(call, name, bad):
+    with pytest.raises(ParameterError, match=rf"^{name} must be a unit vector in R\^4$"):
+        call(bad)
 
 
 def test_projections_take_only_rows_of_points():

@@ -12,7 +12,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -29,6 +29,54 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced(tree):
+    """Every name, attribute and imported name the module mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def _called(tree):
+    """Names of the functions and methods the module calls."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+# each job has one implementation: a name and the only modules that use it,
+# and whether merely mentioning the name counts or only calling it
+ONE_HOME = [
+    ("eigsh", {"laplace"}, _referenced),             # laplace._eigsh
+    ("_pair_tiles", {"mesh", "energies"}, _referenced),
+    ("csr_matrix", {"mesh", "laplace"}, _called),    # adjacency, stiffness
+]
+
+
+@pytest.mark.parametrize("name, homes, uses", ONE_HOME, ids=[j[0] for j in ONE_HOME])
+def test_each_job_has_one_home(name, homes, uses):
+    users = {p.stem for p in MODULES if name in uses(_tree(p))}
+    assert users <= homes
+
+
+def test_curvature_imports_nothing_from_scipy():
+    modules = set()
+    for node in ast.walk(_tree(SRC / "curvature.py")):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
 
 
 def test_public_names_change_only_on_purpose():

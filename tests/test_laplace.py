@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from cel import (ParameterError, cotan_stiffness, ellipsoid_s3, genus2_surface,
+from cel import (ParameterError, SolverError, cotan_stiffness, ellipsoid_s3,
+                 genus2_surface, jacobi_index_numeric, laplace_eigs,
                  laplace_minmax, lumped_mass, make_shape, perturb_mesh)
 
 
@@ -90,3 +92,15 @@ def test_eigencount_guard(clifford16):
         laplace_minmax(clifford16, clifford16.vertex_count)
     with pytest.raises(ParameterError):
         laplace_minmax(clifford16, 0)
+
+
+def test_eigensolver_failure_is_a_solver_error(monkeypatch, clifford16):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    message = "eigenvalue iteration did not converge"
+    with pytest.raises(SolverError, match=message):
+        laplace_eigs(clifford16, 4)
+    with pytest.raises(SolverError, match=message):
+        jacobi_index_numeric(clifford16)
