@@ -21,8 +21,8 @@ import numpy as np
 
 from ._accum import stable_sum, unit_directions
 from .conformal import dilate_mesh
-from .curvature import estimate_curvatures
-from .energies import willmore_energy
+from .curvature import _LocalEnergyModel, estimate_curvatures
+from .energies import _willmore_report
 from .errors import GeometryError, InputError, ParameterError
 
 
@@ -99,16 +99,23 @@ def canonical_family_area(mesh, v, t):
     return float(curve.areas[0])
 
 
+def _member_curve(model, mesh, field, v, t_grid):
+    """Family areas over a t grid at fixed v. `model` holds the stencils of
+    the mesh's faces, which every conformal image keeps, and `field` is the
+    mesh's own curvature field, the v = 0 member's; an image is refitted."""
+    if np.linalg.norm(v) != 0.0:
+        mesh = dilate_mesh(mesh, v)
+        field = model.field(mesh.vertices)
+    return parallel_area_curve(mesh, field, t_grid)
+
+
 def canonical_family_curve(mesh, v, t_grid):
     """Family areas over a t grid at fixed v; curvatures of the conformal
     image are re-estimated from the image mesh, not transformed."""
     v = np.asarray(v, dtype=np.float64)
-    if np.linalg.norm(v) == 0.0:
-        image = mesh
-    else:
-        image = dilate_mesh(mesh, v)
-    field = estimate_curvatures(image)
-    return parallel_area_curve(image, field, t_grid)
+    model = _LocalEnergyModel(mesh)
+    field = model.field(mesh.vertices) if np.linalg.norm(v) == 0.0 else None
+    return _member_curve(model, mesh, field, v, t_grid)
 
 
 def hk_verify(mesh, vmax=0.5, vsteps=5, tsteps=33):
@@ -133,10 +140,13 @@ def hk_verify(mesh, vmax=0.5, vsteps=5, tsteps=33):
                                 if s > 0.0 for d in dirs]
     t_grid = np.linspace(-np.pi, np.pi, tsteps)
 
-    energy = willmore_energy(mesh)
+    # every member shares the mesh's faces: one model, one base fit
+    model = _LocalEnergyModel(mesh)
+    field = model.field(mesh.vertices)
+    energy = _willmore_report(mesh, field)
     best = (-np.inf, None, None)
     for v in v_grid:
-        curve = canonical_family_curve(mesh, v, t_grid)
+        curve = _member_curve(model, mesh, field, v, t_grid)
         i = int(np.argmax(curve.areas))
         if curve.areas[i] > best[0]:
             best = (float(curve.areas[i]), v, float(t_grid[i]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import verify
 from .canonical import hk_verify
-from .conformal import dilate_mesh
+from .conformal import _dilation_drifts
 from .energies import _far_pole, _linking_bound, mobius_energy, willmore_energy
 from .errors import FormatError, GeometryError, ParameterError
 from .laplace import laplace_minmax
@@ -99,13 +99,10 @@ def cmd_conformal_test(args):
     if not 0.0 < norm < np.inf:
         raise ParameterError("--direction must be a nonzero finite vector")
     direction /= norm
-    base = willmore_energy(mesh)
-    rows = []
-    for s in args.strengths:
-        moved = willmore_energy(dilate_mesh(mesh, s * direction),
-                                error_estimate=False)
-        rows.append({"strength": s, "energy": moved.value,
-                     "drift": abs(moved.value - base.value) / base.value})
+    base, moved = _dilation_drifts(mesh, [s * direction for s in args.strengths],
+                                   error_estimate=True)
+    rows = [{"strength": s, "energy": energy, "drift": drift}
+            for s, (energy, drift) in zip(args.strengths, moved)]
     _emit(_json({"base_energy": base.value, "base_error": base.error,
                  "direction": list(direction), "rows": rows}), args.output)
     return 0

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import estimate_curvatures
-from .energies import gauss_map_torus
+from .curvature import _LocalEnergyModel, estimate_curvatures
+from .energies import _willmore_report, gauss_map_torus
 from .errors import (DegenerateInputError, GeometryError, InputError,
                      NearPoleError, ParameterError)
 from .mesh import PolyLink, TriMesh
@@ -120,6 +120,16 @@ def dilate_mesh(mesh, v):
     return TriMesh(apply_dilation(ConformalDilation(np.asarray(v, dtype=np.float64)),
                                   mesh.vertices),
                    mesh.faces.copy(), ambient="S3")
+
+
+def _dilation_drifts(mesh, vs, error_estimate):
+    """Bending energy report of an S3 mesh, and the energy of its image
+    under each dilation in `vs` with its drift relative to the mesh's. The
+    images keep the mesh's faces, so all are fitted on one model."""
+    model = _LocalEnergyModel(mesh)
+    base = _willmore_report(mesh, model.field(mesh.vertices), error_estimate)
+    moved = [model.energy(dilate_mesh(mesh, v).vertices) for v in vs]
+    return base, [(e, abs(e - base.value) / base.value) for e in moved]
 
 
 def dilate_link(link, v):

@@ -30,6 +30,9 @@ the full-mesh estimate, fitted in blocks of `_FIT_ROWS` vertices at the
 global width m_max (batched products reduce in an order set by their inner
 size, so a narrower block would change bits); `energy` sums the one density,
 `_bending_density`, over that field, and `gradient` differences that energy.
+Stencils depend only on the faces, so a family whose members share one face
+array (the tubes of a radius sweep, the conformal images of one mesh) builds
+one model and passes each member's positions to it.
 
 The gradient is a central difference that refits only the terms a probe can
 change, those of the vertex and of its two-ring. Vertices are probed in
@@ -302,6 +305,11 @@ def _bending_density(ambient, k1, k2, weight):
     return (1.0 + h2) * weight if ambient == "S3" else h2 * weight
 
 
+def _field_energy(ambient, field):
+    """Total bending energy of a CurvatureField."""
+    return stable_sum(_bending_density(ambient, field.k1, field.k2, field.weight))
+
+
 class _LocalEnergyModel:
     """Curvature field, bending energy and its gradient on one connectivity.
 
@@ -350,8 +358,7 @@ class _LocalEnergyModel:
 
     def energy(self, positions):
         """Total bending energy at the given positions."""
-        f = self.field(positions)
-        return stable_sum(_bending_density(self.ambient, f.k1, f.k2, f.weight))
+        return _field_energy(self.ambient, self.field(positions))
 
     def gradient(self, positions):
         """Central-difference gradient of the total energy, (V, dim)."""

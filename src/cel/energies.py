@@ -1,8 +1,8 @@
 """Bending and cross energies, the linking number, and the Gauss-map torus.
 
 Willmore energy integrates H^2 (plus the area term in the three-sphere) from
-a per-vertex curvature field, with the density the bending gradient also
-differentiates (curvature._bending_density). The cross energy of a
+a per-vertex curvature field, with the sum the bending gradient also
+differentiates (curvature._field_energy). The cross energy of a
 two-component link is a midpoint-rule double sum; no singularity handling
 is needed because the components are disjoint. Every reduction goes through
 compensated summation so the reported values do not depend on evaluation
@@ -32,8 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._accum import stable_sum
-from .curvature import _bending_density, estimate_curvatures
+from .curvature import _field_energy, estimate_curvatures
 from .errors import InputError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
@@ -69,9 +68,17 @@ class GaussReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _willmore_sum(mesh):
-    f = estimate_curvatures(mesh)
-    return stable_sum(_bending_density(mesh.ambient, f.k1, f.k2, f.weight))
+def _willmore_report(mesh, field, error_estimate=True):
+    """willmore_energy of `mesh` whose curvature field is `field`."""
+    value = _field_energy(mesh.ambient, field)
+    error = None
+    if error_estimate and mesh.recipe is not None:
+        kind, params, res = mesh.recipe
+        if res // 2 >= RESOLUTION_FLOOR:
+            coarse = make_shape(kind, resolution=res // 2, **params)
+            coarse_value = _field_energy(coarse.ambient, estimate_curvatures(coarse))
+            error = abs(value - coarse_value) / (3.0 * max(abs(value), 1e-30))
+    return EnergyReport(value=value, resolution=mesh.vertex_count, error=error)
 
 
 def willmore_energy(mesh, error_estimate=True):
@@ -83,15 +90,7 @@ def willmore_energy(mesh, error_estimate=True):
     half-resolution recomputation; parameter sweeps that only rank values do
     not need it.
     """
-    value = _willmore_sum(mesh)
-    error = None
-    if error_estimate and mesh.recipe is not None:
-        kind, params, res = mesh.recipe
-        if res // 2 >= RESOLUTION_FLOOR:
-            coarse = make_shape(kind, resolution=res // 2, **params)
-            coarse_value = _willmore_sum(coarse)
-            error = abs(value - coarse_value) / (3.0 * max(abs(value), 1e-30))
-    return EnergyReport(value=value, resolution=mesh.vertex_count, error=error)
+    return _willmore_report(mesh, estimate_curvatures(mesh), error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +256,10 @@ def gauss_map_torus(link, resolution=None):
 
     Vertex (i, j) is (gamma1_i - gamma2_j) normalized, a point of the
     three-sphere; the (s, t) parameter grid is triangulated like a torus
-    with quads split along the shorter diagonal. By default the grid is the
-    polylines' own sampling; pass `resolution` to resample both components.
+    with quads split along the shorter diagonal: a-c unless b-d is shorter
+    by a relative gap over 1e-12, so cells that tie take a-c as on the
+    Clifford torus. By default the grid is the polylines' own sampling;
+    pass `resolution` to resample both components.
     """
     if link.dim != 4:
         raise InputError("gauss_map_torus needs a link in R^4")

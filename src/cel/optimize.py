@@ -6,7 +6,8 @@ measurement. The bending descent differentiates and line-searches one model,
 curvature._LocalEnergyModel, built once for the mesh's connectivity; its
 gradient refits only the stencil rows a probe can change (see curvature.py).
 The cross-energy gradient recomputes only the quadrature rows of the moved
-vertex's two segments.
+vertex's two segments. Tube faces depend only on the resolution, so the
+radius sweep fits every tube on one model as well.
 """
 
 from typing import NamedTuple
@@ -14,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import _LocalEnergyModel
-from .energies import (_cross_energy_sum, _cross_terms, _resample_closed,
-                       willmore_energy)
+from .energies import _cross_energy_sum, _cross_terms, _resample_closed
 from .errors import InputError, MeshQualityError, ParameterError
 from .mesh import PolyLink, _diameter, _min_gap, _segments
 from .shapes import tube_torus
@@ -254,11 +254,17 @@ def tube_family_sweep(radii=None, resolution=96):
         raise ParameterError("need a 1-d grid of at least two radii")
     if np.any(radii <= 1.0):
         raise ParameterError("tube of unit radius needs ring radius > 1")
+    # tube faces depend only on the resolution: one model fits every tube
     energies = np.empty(len(radii))
     for i, radius in enumerate(radii):
         mesh = tube_torus(big_radius=float(radius), tube_radius=1.0,
                           resolution=resolution)
-        energies[i] = willmore_energy(mesh, error_estimate=False).value
+        if i == 0:
+            model, faces = _LocalEnergyModel(mesh), mesh.faces
+        elif not np.array_equal(mesh.faces, faces):
+            raise MeshQualityError(f"the tube of ring radius {radius} has other "
+                                   "faces than the first tube of the sweep")
+        energies[i] = model.energy(mesh.vertices)
     best = int(np.argmin(energies))
     return SweepReport(radii=radii, energies=energies,
                        min_radius=float(radii[best]),

@@ -3,7 +3,11 @@
 All generators take a `resolution` parameter with a floor of 8. Spheres (and
 everything derived from them) are subdivided icosahedra whose resolution is
 the subdivision frequency, giving 10*res^2 + 2 nearly uniform vertices. Tori
-are res x res parameter grids with quads split along the shorter diagonal.
+are res x res parameter grids with quads split along the shorter diagonal,
+shorter by a relative gap over 1e-12; a cell whose diagonals agree to
+rounding takes the a-c diagonal. Both diagonals of every cell of a surface
+of revolution are equal in exact arithmetic, so tube faces depend only on
+the resolution.
 Generated meshes carry a `recipe` so half-resolution companions can be built
 for error estimates.
 """
@@ -101,8 +105,10 @@ def ellipsoid(a=1.0, b=1.0, c=1.0, resolution=32):
 def _grid_torus_faces(positions, n, m=None):
     """Faces for an n x m wraparound grid, two per cell in row-major cell
     order. The quad a, b, c, d of cell (i, j) runs (i, j), (i+1, j),
-    (i+1, j+1), (i, j+1) and is split along the shorter diagonal (ties take
-    the a-c diagonal)."""
+    (i+1, j+1), (i, j+1) and is split along b-d only where that diagonal is
+    shorter than a-c by a relative gap over 1e-12, and along a-c otherwise,
+    so cells whose diagonals tie in exact arithmetic are not split by
+    rounding."""
     if m is None:
         m = n
     i, j = np.divmod(np.arange(n * m), m)
@@ -110,9 +116,9 @@ def _grid_torus_faces(positions, n, m=None):
     a, b, c, d = i * m + j, i1 * m + j, i1 * m + j1, i * m + j1
     diag_ac = np.sum((positions[a] - positions[c]) ** 2, axis=1)
     diag_bd = np.sum((positions[b] - positions[d]) ** 2, axis=1)
-    faces = np.where((diag_ac <= diag_bd)[:, None],
-                     np.stack([a, b, c, a, c, d], axis=1),
-                     np.stack([a, b, d, b, c, d], axis=1))
+    faces = np.where((diag_bd < diag_ac * (1.0 - 1e-12))[:, None],
+                     np.stack([a, b, d, b, c, d], axis=1),
+                     np.stack([a, b, c, a, c, d], axis=1))
     return faces.reshape(-1, 3)
 
 

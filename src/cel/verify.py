@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .canonical import _jacobian, hk_verify
-from .conformal import dilate_mesh, radial_limit_check
+from .conformal import _dilation_drifts, radial_limit_check
 from .curvature import _bending_density, estimate_curvatures
 from .energies import (_far_pole, _linking_bound, energy_linking_bound_check,
                        gauss_area_energy_check, gauss_map_torus,
@@ -144,13 +144,9 @@ def check_conformal_invariance(params):
     drifts = {}
     for factor in (1, 2):
         mesh = make_shape("clifford_torus", resolution=res * factor)
-        base = willmore_energy(mesh, error_estimate=False).value
-        row = []
-        for s in strengths:
-            moved = willmore_energy(dilate_mesh(mesh, s * direction),
-                                    error_estimate=False).value
-            row.append(abs(moved - base) / base)
-        drifts[factor] = row
+        _, rows = _dilation_drifts(mesh, [s * direction for s in strengths],
+                                   error_estimate=False)
+        drifts[factor] = [drift for _, drift in rows]
     coarse, fine = drifts[1], drifts[2]
     ok = (max(coarse) <= 0.02 and max(fine) <= 0.01
           and all(f < c for f, c in zip(fine, coarse)))

@@ -1,5 +1,7 @@
 """Parallel surfaces in the three-sphere and the family-area comparison."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cel import (GeometryError, InputError, ParameterError,
                  canonical_family_area, estimate_curvatures, hk_verify,
                  make_shape, parallel_area, parallel_area_curve,
                  willmore_energy)
-from cel._accum import stable_sum
+from cel._accum import stable_sum, unit_directions
 from cel.fixtures import ellipsoid_s3
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -118,15 +120,52 @@ def test_hk_verify_rejects_empty_grids(clifford16, grids):
 @pytest.mark.parametrize("vsteps", [1, 2, 3])
 def test_hk_verify_evaluates_v_zero_once(clifford16, vsteps, monkeypatch):
     # v = 0 is one family member in every direction; each nonzero strength
-    # is evaluated in all vsteps directions
-    seen = []
-    curve = cel.canonical.canonical_family_curve
+    # is evaluated in all vsteps directions, each on its own dilated image
+    curves, dilations = [], []
+    curve, dilate = cel.canonical.parallel_area_curve, cel.canonical.dilate_mesh
 
-    def counted(mesh, v, t_grid):
-        seen.append(np.array(v))
-        return curve(mesh, v, t_grid)
+    def counted_curve(mesh, field, t_grid):
+        curves.append(mesh)
+        return curve(mesh, field, t_grid)
 
-    monkeypatch.setattr(cel.canonical, "canonical_family_curve", counted)
+    def counted_dilate(mesh, v):
+        dilations.append(np.array(v))
+        return dilate(mesh, v)
+
+    monkeypatch.setattr(cel.canonical, "parallel_area_curve", counted_curve)
+    monkeypatch.setattr(cel.canonical, "dilate_mesh", counted_dilate)
     hk_verify(clifford16, vmax=0.3, vsteps=vsteps, tsteps=5)
-    assert len(seen) == 1 + vsteps * (vsteps - 1)
-    assert not np.any(seen[0]) and all(np.any(v) for v in seen[1:])
+    assert len(curves) == 1 + vsteps * (vsteps - 1)
+    assert len(dilations) == vsteps * (vsteps - 1)
+    assert curves[0] is clifford16 and all(m is not clifford16 for m in curves[1:])
+    assert all(np.any(v) for v in dilations)
+
+
+def _hk_reference(mesh, vmax=0.5, vsteps=5, tsteps=33):
+    """hk_verify's report from canonical_family_curve and willmore_energy,
+    each member fitted on its own."""
+    dirs = unit_directions(vsteps, 4, seed=0)
+    v_grid = [0.0 * dirs[0]] + [s * d for s in np.linspace(0.0, vmax, vsteps)
+                                if s > 0.0 for d in dirs]
+    t_grid = np.linspace(-np.pi, np.pi, tsteps)
+    energy = willmore_energy(mesh)
+    best = (-np.inf, None, None)
+    for v in v_grid:
+        curve = cel.canonical_family_curve(mesh, v, t_grid)
+        i = int(np.argmax(curve.areas))
+        if curve.areas[i] > best[0]:
+            best = (float(curve.areas[i]), v, float(t_grid[i]))
+    return cel.canonical.HKReport(max_area=best[0], energy=energy.value,
+                                  ratio=best[0] / energy.value,
+                                  v_at_max=best[1], t_at_max=best[2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_shape("clifford_torus", resolution=16),
+    lambda: make_shape("geodesic_sphere", resolution=16, center=(1, 0, 0, 0),
+                       radius=np.pi / 3),
+    lambda: ellipsoid_s3(resolution=16),
+], ids=["clifford", "geo_sphere", "ellipsoid"])
+def test_hk_verify_equals_its_per_member_path_bit_for_bit(build):
+    mesh = build()
+    assert pickle.dumps(hk_verify(mesh)) == pickle.dumps(_hk_reference(mesh))

@@ -8,6 +8,7 @@ from cel import (ConformalDilation, InputError, InversionR4, ParameterError,
                  g_family, hopf_link, linking_number, make_shape,
                  mobius_energy, perturb_link, project_link,
                  radial_limit_check, willmore_energy)
+from cel.conformal import _dilation_drifts
 from cel.energies import _far_pole
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -136,3 +137,15 @@ def test_radial_limit_guards(sphere16, clifford16):
         radial_limit_check(sphere16, vertex=0)
     with pytest.raises(InputError):
         radial_limit_check(clifford16, vertex=10 ** 6)
+
+
+@pytest.mark.parametrize("error_estimate", [False, True])
+def test_dilation_drifts_equal_the_per_image_energies(clifford16, error_estimate):
+    vs = [s * np.array([0.3, -0.5, 0.2, 0.4]) for s in (0.1, 0.3, 0.5)]
+    base, rows = _dilation_drifts(clifford16, vs, error_estimate)
+    want = willmore_energy(clifford16, error_estimate=error_estimate)
+    assert base == want
+    for v, (energy, drift) in zip(vs, rows):
+        moved = willmore_energy(dilate_mesh(clifford16, v), error_estimate=False).value
+        assert energy == moved
+        assert drift == abs(moved - want.value) / want.value

@@ -81,13 +81,21 @@ def _reference_grid_faces(positions, n, m):
             d = i * m + (j + 1) % m
             diag_ac = np.sum((positions[a] - positions[c]) ** 2)
             diag_bd = np.sum((positions[b] - positions[d]) ** 2)
-            if diag_ac <= diag_bd:
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-            else:
+            if diag_bd < diag_ac * (1.0 - 1e-12):
                 faces.append((a, b, d))
                 faces.append((b, c, d))
+            else:
+                faces.append((a, b, c))
+                faces.append((a, c, d))
     return np.array(faces, dtype=np.int64)
+
+
+def _ac_grid_faces(n):
+    """Every cell of the n x n grid split along its a-c diagonal."""
+    i, j = np.divmod(np.arange(n * n), n)
+    a, b = i * n + j, (i + 1) % n * n + j
+    c, d = (i + 1) % n * n + (j + 1) % n, i * n + (j + 1) % n
+    return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("n", [8, 13, 16, 24, 32])
@@ -98,6 +106,29 @@ def test_grid_faces_match_cell_by_cell_reference(kind, n):
     faces = _grid_torus_faces(verts, n)
     assert faces.dtype == np.int64
     np.testing.assert_array_equal(faces, _reference_grid_faces(verts, n, n))
+
+
+@pytest.mark.parametrize("n", [8, 13, 48, 96])
+def test_tube_faces_depend_only_on_the_resolution(n):
+    # both diagonals of a cell on a surface of revolution are equal in
+    # exact arithmetic, so no tube cell is split by rounding
+    faces = [make_shape("tube_torus", resolution=n, big_radius=a,
+                        tube_radius=1.0).faces for a in (1.1, np.sqrt(2.0), 2.9)]
+    np.testing.assert_array_equal(faces[0], faces[1])
+    np.testing.assert_array_equal(faces[0], faces[2])
+
+
+def test_clifford_faces_take_the_ac_diagonal_everywhere():
+    for n in range(8, 97):
+        np.testing.assert_array_equal(cel.clifford_torus(resolution=n).faces,
+                                      _ac_grid_faces(n))
+
+
+def test_hopf_chord_torus_area_is_pinned():
+    # the chord torus of the fibration link has square cells like the
+    # Clifford torus; its area is pinned bit for bit
+    assert gauss_map_torus(cel.hopf_link(64)).area() == 19.72335955068155
+    assert gauss_map_torus(cel.hopf_link(128)).area() == 19.735245534455515
 
 
 def test_grid_faces_on_an_unequal_gauss_map_grid():
@@ -206,7 +237,7 @@ def test_import_leaves_scipy_spatial_out():
 def test_genus2_surface_is_pinned():
     g2 = genus2_surface(resolution=16)
     assert (g2.vertex_count, g2.face_count) == (508, 1020)
-    assert g2.area() == pytest.approx(156.7642862120606, rel=1e-12)
+    assert g2.area() == pytest.approx(156.75499754926668, rel=1e-12)
     assert g2.vertices[:, 0].max() == pytest.approx(9.609844938560219, rel=1e-15)
 
 

@@ -277,6 +277,30 @@ def test_tube_sweep_finds_sqrt2():
         tube_family_sweep(radii=np.array([0.9, 1.5]), resolution=16)
 
 
+def test_tube_sweep_equals_its_per_tube_energies_bit_for_bit():
+    radii = np.array([1.1, 1.3, np.sqrt(2.0), 2.2, 2.95])
+    sweep = tube_family_sweep(radii=radii, resolution=24)
+    per_tube = [willmore_energy(cel.tube_torus(big_radius=a, tube_radius=1.0,
+                                               resolution=24),
+                                error_estimate=False).value for a in radii]
+    assert np.array_equal(sweep.energies, per_tube)
+
+
+def test_tube_sweep_rejects_a_tube_with_other_faces(monkeypatch):
+    # the sweep fits every tube on the first tube's stencils
+    tube = cel.optimize.tube_torus
+
+    def rolled(big_radius, **kw):
+        mesh = tube(big_radius=big_radius, **kw)
+        if big_radius > 1.5:
+            mesh = TriMesh(mesh.vertices, mesh.faces[:, [1, 2, 0]])
+        return mesh
+
+    monkeypatch.setattr(cel.optimize, "tube_torus", rolled)
+    with pytest.raises(cel.MeshQualityError, match="other faces"):
+        tube_family_sweep(radii=np.array([1.2, 1.8]), resolution=16)
+
+
 @pytest.mark.parametrize("move_scale", [0.0, -1.0, np.nan, np.inf])
 def test_descents_need_a_positive_finite_move_scale(move_scale):
     mesh = make_shape("clifford_torus", resolution=8)
