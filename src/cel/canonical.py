@@ -60,13 +60,9 @@ def _jacobian(field, t):
     return (np.cos(t) - field.k1 * np.sin(t)) * (np.cos(t) - field.k2 * np.sin(t))
 
 
-def parallel_area(mesh, field=None, t=0.0):
-    """Mass of the surface marched a signed time t along its normal."""
-    return float(parallel_area_curve(mesh, field, [float(t)]).areas[0])
-
-
 def parallel_area_curve(mesh, field=None, t_grid=None):
-    """parallel_area sampled over a t grid, packaged for plotting."""
+    """Mass of the surface marched a signed time t along its normal, for
+    each t of a grid, packaged for plotting."""
     field = _check_s3_field(mesh, field)
     if t_grid is None:
         t_grid = np.linspace(-np.pi, np.pi, 129)
@@ -91,12 +87,6 @@ def parallel_area_curve(mesh, field=None, t_grid=None):
         mass = np.where(live, _jacobian(field, t), 0.0) * field.weight
         areas[start:start + rows] = [stable_sum(row) for row in mass]
     return ParallelAreaCurve(t_grid=t_grid, areas=areas)
-
-
-def canonical_family_area(mesh, v, t):
-    """Area of the dilation-parallel family member at (v, t)."""
-    curve = canonical_family_curve(mesh, v, np.array([float(t)]))
-    return float(curve.areas[0])
 
 
 def _member_curve(model, mesh, field, v, t_grid):

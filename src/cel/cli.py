@@ -148,10 +148,8 @@ def cmd_laplace(args):
 def cmd_index(args):
     if args.analytic:
         rep, source = jacobi_index_analytic(args.analytic), "analytic"
-    elif args.mesh:
-        rep, source = jacobi_index_numeric(load_obj(args.mesh)), "numeric"
     else:
-        raise FormatError("index needs a mesh file or --analytic")
+        rep, source = jacobi_index_numeric(load_obj(args.mesh)), "numeric"
     _emit(_json({"index": rep.index, "near_zero": rep.near_zero,
                  "eigenvalues": list(rep.eigenvalues), "source": source}),
           args.output)
@@ -281,9 +279,11 @@ def build_parser():
 
     p = sub.add_parser("index", help="second-variation index of a minimal "
                                      "surface in the three-sphere")
-    p.add_argument("mesh", nargs="?", default=None)
-    p.add_argument("--analytic", choices=("great_sphere", "clifford_torus"),
-                   default=None, help="closed-form count instead of a mesh")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("mesh", nargs="?", default=None)
+    source.add_argument("--analytic", default=None,
+                        choices=("great_sphere", "clifford_torus"),
+                        help="closed-form count instead of a mesh")
     _add_output(p)
     p.set_defaults(fn=cmd_index)
 

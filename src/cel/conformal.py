@@ -69,12 +69,6 @@ class InversionR4:
         object.__setattr__(self, "v", _ball_point(self.v, "inversion center"))
 
 
-def inversion_center(v):
-    """Center c(v) = v/(1 - |v|^2) of the image of S^3 under InversionR4(v)."""
-    v = np.asarray(v, dtype=np.float64)
-    return v / (1.0 - float(v @ v))
-
-
 class RadialLimitReport(NamedTuple):
     s_values: tuple
     distances: tuple      # max geodesic distance of image samples to the great sphere
@@ -172,7 +166,7 @@ def g_family(link, v, lam):
         raise ParameterError("scale factor must be positive")
     v = np.asarray(v, dtype=np.float64)
     inv = InversionR4(v)
-    c = inversion_center(v)
+    c = v / (1.0 - float(v @ v))
     radius = 1.0 / (1.0 - float(v @ v))
     t1 = apply_inversion(inv, link.gamma1)
     t2 = apply_inversion(inv, link.gamma2)

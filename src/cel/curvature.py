@@ -73,9 +73,6 @@ class CurvatureField:
     def mean(self):
         return 0.5 * (self.k1 + self.k2)
 
-    def total_area(self):
-        return stable_sum(self.weight)
-
 
 def _two_ring(mesh):
     """One-ring plus two-ring neighbors of each vertex, as a CSR pattern

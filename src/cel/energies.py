@@ -36,8 +36,8 @@ from .curvature import _field_energy, estimate_curvatures
 from .errors import InputError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
-from .shapes import (RESOLUTION_FLOOR, _check_resolution, _grid_torus_faces,
-                     _orthobasis, make_shape)
+from .shapes import (RESOLUTION_FLOOR, _grid_torus_faces, _orthobasis,
+                     make_shape)
 
 
 class EnergyReport(NamedTuple):
@@ -242,32 +242,18 @@ def energy_linking_bound_check(link):
 # ---------------------------------------------------------------------------
 
 
-def _resample_closed(g, count):
-    """Periodic linear resampling of a closed polyline by parameter index."""
-    n = len(g)
-    t = np.arange(count) * (n / count)
-    i0 = np.floor(t).astype(np.int64)
-    frac = (t - i0)[:, None]
-    return g[i0 % n] * (1.0 - frac) + g[(i0 + 1) % n] * frac
-
-
-def gauss_map_torus(link, resolution=None):
+def gauss_map_torus(link):
     """Unit-chord direction torus of an R^4 link.
 
     Vertex (i, j) is (gamma1_i - gamma2_j) normalized, a point of the
     three-sphere; the (s, t) parameter grid is triangulated like a torus
     with quads split along the shorter diagonal: a-c unless b-d is shorter
     by a relative gap over 1e-12, so cells that tie take a-c as on the
-    Clifford torus. By default the grid is the polylines' own sampling;
-    pass `resolution` to resample both components.
+    Clifford torus. The grid is the polylines' own sampling.
     """
     if link.dim != 4:
         raise InputError("gauss_map_torus needs a link in R^4")
     g1, g2 = link.gamma1, link.gamma2
-    if resolution is not None:
-        resolution = _check_resolution(resolution)
-        g1 = _resample_closed(g1, resolution)
-        g2 = _resample_closed(g2, resolution)
     diff = g1[:, None, :] - g2[None, :, :]
     norms = np.linalg.norm(diff, axis=2)
     if norms.min() < 1e-12:

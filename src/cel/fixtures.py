@@ -9,12 +9,13 @@ from .projection import lift_mesh
 from .shapes import ellipsoid, tube_torus
 
 
-def ellipsoid_s3(a=1.0, b=0.8, c=0.6, resolution=32, pole=(0.0, 0.0, 0.0, 1.0)):
+def ellipsoid_s3(a=1.0, b=0.8, c=0.6, resolution=32):
     """Ellipsoid carried onto the three-sphere by inverse stereographic
-    projection. Distinct semi-axes keep the principal curvatures distinct
-    almost everywhere, which makes it a good generic test surface."""
+    projection from the pole (0, 0, 0, 1). Distinct semi-axes keep the
+    principal curvatures distinct almost everywhere, which makes it a good
+    generic test surface."""
     flat = ellipsoid(a=a, b=b, c=c, resolution=resolution)
-    return lift_mesh(flat, np.asarray(pole, dtype=np.float64))
+    return lift_mesh(flat, np.array([0.0, 0.0, 0.0, 1.0]))
 
 
 def genus2_surface(big_radius=2.0, tube_radius=1.0, resolution=16):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import _LocalEnergyModel
-from .energies import _cross_energy_sum, _cross_terms, _resample_closed
+from .energies import _cross_energy_sum, _cross_terms
 from .errors import InputError, MeshQualityError, ParameterError
 from .mesh import PolyLink, _diameter, _min_gap, _segments
 from .shapes import tube_torus
@@ -61,8 +61,10 @@ def willmore_relative_gradient(mesh):
 # descent drivers
 # ---------------------------------------------------------------------------
 
-# step halvings the line search tries before it gives up
+# step halvings the line search tries before it gives up, and the
+# scale-free gradient norm under which a descent stops as stationary
 _HALVINGS = 40
+_GRAD_TOL = 1e-6
 
 
 def _armijo(evaluate, x, g, e0, alpha0):
@@ -88,12 +90,12 @@ def _check_descent(steps, move_scale):
         raise ParameterError("move_scale must be positive and finite")
 
 
-def willmore_descent(mesh, steps=20, grad_tol=1e-6, move_scale=0.02):
+def willmore_descent(mesh, steps=20, move_scale=0.02):
     """Gradient descent on the bending energy of a closed mesh.
 
     Each accepted step satisfies an Armijo decrease, so the energy trace is
     strictly nonincreasing. Stops early when the scale-free gradient norm
-    drops under grad_tol ('stationary') or when 40 step halvings cannot find
+    drops under `_GRAD_TOL` ('stationary') or when 40 step halvings cannot find
     a decrease ('stagnated'). Returns (mesh, DescentTrace).
     """
     _check_descent(steps, move_scale)
@@ -113,7 +115,7 @@ def willmore_descent(mesh, steps=20, grad_tol=1e-6, move_scale=0.02):
         g = model.gradient(pos)
         gn = float(np.linalg.norm(g))
         gnorms.append(gn)
-        if _stationarity(gn, diameter, energies[-1]) < grad_tol:
+        if _stationarity(gn, diameter, energies[-1]) < _GRAD_TOL:
             status = "stationary"
             break
         alpha0 = move_scale * diameter / max(np.linalg.norm(g, axis=1).max(), 1e-30)
@@ -182,7 +184,16 @@ _RESAMPLE_EVERY = 50
 _COLLISION_TOL = 1e-3
 
 
-def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02):
+def _resample_closed(g, count):
+    """Periodic linear resampling of a closed polyline by parameter index."""
+    n = len(g)
+    t = np.arange(count) * (n / count)
+    i0 = np.floor(t).astype(np.int64)
+    frac = (t - i0)[:, None]
+    return g[i0 % n] * (1.0 - frac) + g[(i0 + 1) % n] * frac
+
+
+def mobius_descent(link, steps=30, move_scale=0.02):
     """Gradient descent on the cross energy of an R^3 link.
 
     Every `_RESAMPLE_EVERY` accepted steps the curves are resampled to
@@ -213,7 +224,7 @@ def mobius_descent(link, steps=30, grad_tol=1e-6, move_scale=0.02):
         d1, d2 = mobius_gradient(probe)
         gn = float(np.sqrt(np.sum(d1 * d1) + np.sum(d2 * d2)))
         gnorms.append(gn)
-        if _stationarity(gn, diameter, energies[-1]) < grad_tol:
+        if _stationarity(gn, diameter, energies[-1]) < _GRAD_TOL:
             status = "stationary"
             break
         gstack = np.vstack([d1, d2])

@@ -226,6 +226,8 @@ def torus_link(p=2, q=4, resolution=64):
     """Two-component torus link: parallel (p/2, q/2) curves on the torus
     with radii R=2, r=1, offset half a turn in the tube angle."""
     resolution = _check_resolution(resolution)
+    if not (float(p).is_integer() and float(q).is_integer()):
+        raise ParameterError("torus_link needs integer p and q")
     if math.gcd(int(p), int(q)) != 2:
         raise ParameterError("torus_link needs gcd(p, q) == 2 for two components")
     p2, q2 = int(p) // 2, int(q) // 2

@@ -34,10 +34,6 @@ class CycleSet:
     loops: list
     total_length: float
 
-    @property
-    def loop_count(self):
-        return len(self.loops)
-
 
 class WidthEstimate(NamedTuple):
     p: int             # family dimension minus one
@@ -422,7 +418,7 @@ def scaling_fit(estimates):
 
 
 # ---------------------------------------------------------------------------
-# length budget and point cover
+# length budget
 # ---------------------------------------------------------------------------
 
 
@@ -445,72 +441,19 @@ def polynomial_sup_length(mesh, degree, samples=200, seed=0):
                            budget=2.0 * math.pi * degree, samples=samples)
 
 
-def length_budget_check(mesh, max_degree=6, samples=200, seed=0, tol=0.02):
-    """Check sup length <= 2 pi d (1 + tol) for every degree through
+# relative slack of length_budget_check over the 2 pi d budget
+_BUDGET_TOL = 0.02
+
+
+def length_budget_check(mesh, max_degree=6, samples=200, seed=0):
+    """Check sup length <= 2 pi d (1 + _BUDGET_TOL) for every degree through
     max_degree. Returns the reports; raises GeometryError on a violation."""
     reports = []
     for d in range(1, max_degree + 1):
         rep = polynomial_sup_length(mesh, d, samples=samples, seed=seed)
-        if rep.sup_length > rep.budget * (1.0 + tol):
+        if rep.sup_length > rep.budget * (1.0 + _BUDGET_TOL):
             raise GeometryError(
                 f"degree {d} zero set of length {rep.sup_length:.4f} exceeds "
-                f"the budget {rep.budget:.4f} beyond tolerance {tol}")
+                f"the budget {rep.budget:.4f} beyond tolerance {_BUDGET_TOL}")
         reports.append(rep)
     return reports
-
-
-def point_cover_coefficients(heights):
-    """Monic polynomial (np.polyval layout) vanishing at the given heights.
-
-    Duplicate heights are separated by a deterministic nudge of 1e-9 times
-    the spread, so the polynomial keeps distinct roots; the construction
-    shows that level sets of a fixed height function, taken through
-    polynomials of degree p, can pass through any p prescribed values.
-    """
-    h = np.asarray(heights, dtype=np.float64).copy()
-    if h.ndim != 1 or len(h) < 1:
-        raise ParameterError("heights must be a nonempty 1-d array")
-    spread = max(float(h.max() - h.min()), 1e-6)
-    order = np.argsort(h, kind="stable")
-    hs = h[order]
-    for i in range(1, len(hs)):
-        if hs[i] - hs[i - 1] < 1e-9 * spread:
-            hs[i] = hs[i - 1] + 1e-9 * spread
-    h[order] = hs
-    return np.poly(h)
-
-
-_COVER_TRIALS = 10    # vertex draws of point_cover_check
-
-
-def point_cover_check(mesh, p, seed=0):
-    """For `_COVER_TRIALS` seeded draws of p mesh vertices, build the family
-    member whose zero set passes through all of them and verify that it does.
-
-    The family is polynomials of degree p in the last coordinate. Returns
-    the worst residual at the chosen points relative to the member's scale
-    over the whole mesh; raises GeometryError if a residual exceeds 1e-6 of
-    that scale. p is capped at 30 because monic coefficients grow
-    combinatorially and the evaluation stops being trustworthy.
-    """
-    if not 1 <= p <= 30:
-        raise ParameterError("need 1 <= p <= 30")
-    if mesh.vertex_count <= p:
-        raise ParameterError("mesh has too few vertices to draw from")
-    heights = mesh.vertices[:, -1]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_COVER_TRIALS):
-        pick = rng.choice(mesh.vertex_count, size=p, replace=False)
-        coeffs = point_cover_coefficients(heights[pick])
-        member = np.polyval(coeffs, heights)
-        scale = float(np.max(np.abs(member)))
-        if scale <= 0.0:
-            raise GeometryError("cover member vanished identically")
-        residual = float(np.max(np.abs(member[pick]))) / scale
-        worst = max(worst, residual)
-        if residual > 1e-6:
-            raise GeometryError(
-                f"cover member misses its prescribed points by {residual:.2e} "
-                "of its scale")
-    return worst

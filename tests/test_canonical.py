@@ -7,9 +7,8 @@ import pytest
 
 import cel
 from cel import (GeometryError, InputError, ParameterError,
-                 canonical_family_area, estimate_curvatures, hk_verify,
-                 make_shape, parallel_area, parallel_area_curve,
-                 willmore_energy)
+                 canonical_family_curve, estimate_curvatures, hk_verify,
+                 make_shape, parallel_area_curve, willmore_energy)
 from cel._accum import stable_sum, unit_directions
 from cel.fixtures import ellipsoid_s3
 
@@ -17,8 +16,8 @@ TWO_PI_SQ = 2.0 * np.pi ** 2
 
 
 def test_zero_offset_returns_the_area(clifford16):
-    assert parallel_area(clifford16, t=0.0) == pytest.approx(
-        clifford16.area(), rel=1e-12)
+    area = parallel_area_curve(clifford16, t_grid=[0.0]).areas[0]
+    assert area == pytest.approx(clifford16.area(), rel=1e-12)
 
 
 def test_clifford_parallel_curve_is_cos_2t(clifford32):
@@ -61,7 +60,7 @@ def test_parallel_area_curve_is_the_pointwise_area_bit_for_bit(build, monkeypatc
         areas = parallel_area_curve(mesh, field, grid).areas
         assert areas.tolist() == want, entries
     for t, area in zip(grid, areas):
-        assert area == parallel_area(mesh, field, t), t
+        assert area == parallel_area_curve(mesh, field, [t]).areas[0], t
 
 
 def test_geodesic_sphere_family_max_is_energy():
@@ -76,7 +75,8 @@ def test_geodesic_sphere_family_max_is_energy():
 
 
 def test_family_area_at_origin(clifford16):
-    a = canonical_family_area(clifford16, v=np.zeros(4), t=0.0)
+    curve = canonical_family_curve(clifford16, v=np.zeros(4), t_grid=[0.0])
+    a = curve.areas[0]
     assert a == pytest.approx(clifford16.area(), rel=1e-9)
 
 
@@ -101,7 +101,7 @@ def test_hk_guards(sphere16, clifford16):
 @pytest.mark.parametrize("t", [np.nan, np.inf, -4.0])
 def test_parallel_area_rejects_times_outside_the_range(clifford16, t):
     with pytest.raises(ParameterError):
-        parallel_area(clifford16, t=t)
+        parallel_area_curve(clifford16, t_grid=[t])
 
 
 @pytest.mark.parametrize("t_grid", [[], [0.0, np.nan], [np.inf], [-4.0, 0.0]])

@@ -108,6 +108,18 @@ def test_index_numeric_matches_analytic(tmp_path, capsys):
     assert numeric["near_zero"] == analytic["near_zero"] == 3
 
 
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_index_takes_a_mesh_or_analytic_not_both(tmp_path, capsys, both):
+    mesh = str(tmp_path / "ct.obj")
+    main(["generate", "clifford_torus", "--resolution", "16", "-o", mesh])
+    capsys.readouterr()
+    argv = ["index", mesh, "--analytic", "great_sphere"] if both else ["index"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_widths_csv_is_deterministic(tmp_path, capsys):
     mesh = str(tmp_path / "s.obj")
     main(["generate", "sphere", "--resolution", "8", "-o", mesh])
@@ -245,7 +257,8 @@ def test_unknown_shape_parameter_exits_2(tmp_path, capsys):
      "error: geodesic_sphere: missing a required argument: 'radius'"),
     (["sphere", "--param", "radius=1,2"], "error: sphere: parameter(s) ['radius'] take one number"),
     (["torus_link", "--param", "p=2,4"], "error: torus_link: parameter(s) ['p'] take one number"),
-], ids=["no_center", "no_radius", "radius_list", "p_list"])
+    (["torus_link", "--param", "p=2.5"], "error: torus_link needs integer p and q"),
+], ids=["no_center", "no_radius", "radius_list", "p_list", "p_fraction"])
 def test_bad_shape_call_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "x.obj"
     assert main(["generate", *argv, "--resolution", "8", "-o", str(out)]) == 2

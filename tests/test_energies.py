@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cel import (InputError, PolyLink, ResolutionError, ResolutionWarning, TriMesh,
+from cel import (InputError, PolyLink, ResolutionWarning, TriMesh,
                  energy_linking_bound_check, gauss_area_energy_check,
                  gauss_map_torus, linking_number, make_shape, mobius_energy,
                  willmore_energy)
@@ -226,12 +226,6 @@ def test_gauss_map_needs_r4():
     flat = flatten(make_shape("hopf_link", resolution=32))
     with pytest.raises(InputError):
         gauss_map_torus(flat)
-
-
-@pytest.mark.parametrize("resolution", [7, 8.5])
-def test_gauss_map_resolution_guard(hopf128, resolution):
-    with pytest.raises(ResolutionError):
-        gauss_map_torus(hopf128, resolution=resolution)
 
 
 def test_gauss_ratio_below_one_off_the_optimum(hopf128):

@@ -15,6 +15,7 @@ import cel
 from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
                  ParameterError, PolyLink, TriMesh, euler_genus, load_link,
                  load_obj, make_shape, save_link, save_obj)
+from cel._accum import stable_sum
 from cel.curvature import _tangent_bases
 from cel.energies import gauss_map_torus
 from cel.fixtures import ellipsoid_s3, genus2_surface, perturb_mesh
@@ -288,6 +289,20 @@ def test_make_shape_guards():
             make_shape(kind, resolution=8, zz=2, bogus=1)
 
 
+@pytest.mark.parametrize("p, q", [(2.5, 4), (2, 4.9), (np.nan, 4), (2, np.inf)])
+def test_torus_link_rejects_non_integer_counts(p, q):
+    with pytest.raises(ParameterError, match="integer p and q"):
+        cel.torus_link(p=p, q=q, resolution=16)
+
+
+def test_torus_link_takes_integral_floats():
+    # the command line parses every parameter as a float
+    want = cel.torus_link(p=2, q=6, resolution=16)
+    got = cel.torus_link(p=2.0, q=6.0, resolution=16)
+    np.testing.assert_array_equal(got.gamma1, want.gamma1)
+    np.testing.assert_array_equal(got.gamma2, want.gamma2)
+
+
 def test_hopf_link_geometry(hopf128):
     assert hopf128.dim == 4
     assert hopf128.on_sphere()
@@ -447,7 +462,7 @@ def test_curvature_weights_sum_to_the_mesh_area(build):
     # the barycentric weights split every face area in thirds, so their
     # total is the mesh area up to round-off (equal on all 17 meshes here)
     mesh = build()
-    total = cel.estimate_curvatures(mesh).total_area()
+    total = stable_sum(cel.estimate_curvatures(mesh).weight)
     assert total == pytest.approx(mesh.area(), rel=1e-12, abs=0.0)
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from cel import (InputError, ParameterError, clifford_torus,
                  eigenfunction_width_series, harmonic_width_series,
-                 length_budget_check, level_set_length, point_cover_check,
-                 point_cover_coefficients, polynomial_sup_length,
+                 length_budget_check, level_set_length, polynomial_sup_length,
                  real_harmonic_basis, scaling_fit, sublevel_boundary,
                  lumped_mass)
 from cel.sweepouts import WidthEstimate
@@ -55,7 +54,7 @@ def test_torus_band_boundary():
     # circles, each of circumference 2 pi / sqrt(2)
     angle = np.arctan2(torus.vertices[:, 1], torus.vertices[:, 0])
     cycles = sublevel_boundary(torus, np.cos(angle), level=0.0)
-    assert cycles.loop_count == 2
+    assert len(cycles.loops) == 2
     want = 2.0 * 2.0 * np.pi / np.sqrt(2.0)
     assert cycles.total_length == pytest.approx(want, rel=5e-3)
     for loop in cycles.loops:
@@ -138,20 +137,6 @@ def test_length_budget_check(sphere16):
     reports = length_budget_check(sphere16, max_degree=4, samples=100, seed=0)
     assert [r.degree for r in reports] == [1, 2, 3, 4]
     assert all(r.sup_length <= r.budget * 1.02 for r in reports)
-
-
-def test_point_cover(sphere16):
-    worst = point_cover_check(sphere16, p=5, seed=0)
-    assert worst <= 1e-6
-    with pytest.raises(ParameterError):
-        point_cover_check(sphere16, p=31)
-
-
-def test_point_cover_coefficients_vanish():
-    heights = np.array([-0.5, 0.1, 0.1, 0.9])
-    coeffs = point_cover_coefficients(heights)
-    vals = np.polyval(coeffs, heights)
-    assert np.max(np.abs(vals)) < 1e-6
 
 
 def test_width_needs_unit_sphere(clifford16):
