@@ -16,7 +16,7 @@ def main():
     mesh = make_shape("sphere", resolution=24)
 
     print("length budget: sampled sup of degree-d zero sets vs 2 pi d")
-    for rep in length_budget_check(mesh, max_degree=5, samples=150, seed=0):
+    for rep in length_budget_check(mesh, max_degree=5, samples=150):
         frac = rep.sup_length / rep.budget
         print(f"  d={rep.degree}: sup={rep.sup_length:7.3f} "
               f"budget={rep.budget:7.3f} used {100 * frac:5.1f}%")

@@ -9,15 +9,15 @@ compensated summation so the reported values do not depend on evaluation
 order.
 
 The link sums run in one tiled pass over midpoint pairs (mesh._pair_tiles):
-each tile of about 2^16 pairs is reduced as it is made and its integrand
-streamed into one math.fsum, so peak memory is one tile, not n^2 pairs, and
-the values equal those of the full broadcast bit for bit. A tile holds one
-contiguous (rows, m) difference array per coordinate, and its squared
-distances add the squared coordinates in the order 0, 1, ..., d - 1, the
-order of np.sum over a coordinate axis. The linking number builds its
-triple product from the cross components in np.cross's own formula and
-sums them left to right, so no np.cross or short-axis sum runs over the
-pairs and no rounding changes.
+each tile of about 2^16 pairs is reduced as it is made (into one math.fsum,
+or into whole-row np.sum for the gradient's row sums), so peak memory is
+one tile, not n^2 pairs, and the values equal those of the full broadcast
+bit for bit. A tile holds one contiguous (rows, m) difference array per
+coordinate, and its squared distances add the squared coordinates in the
+order 0, 1, ..., d - 1, the order of np.sum over a coordinate axis. The
+linking number builds its triple product from the cross components in
+np.cross's own formula and sums them left to right, so no np.cross or
+short-axis sum runs over the pairs and no rounding changes.
 
 Error estimates are Richardson style: the same quantity is recomputed at
 half resolution and the gap, scaled for a second-order method, becomes the
@@ -98,14 +98,6 @@ def willmore_energy(mesh, error_estimate=True):
 # ---------------------------------------------------------------------------
 
 
-def _cross_terms(m1, len1, m2, len2):
-    """Tiles (rows, d2, terms) of the integrand |v1||v2| / |m1 - m2|^2 between
-    midpoints m1 (n, ..., d), one or more segments per row, with lengths len1
-    (n, ...), and midpoints m2 (m, d) with lengths len2 (m,)."""
-    for rows, _, d2 in _pair_tiles(m1, m2):
-        yield rows, d2, (len1[rows, ..., None] * len2) / d2
-
-
 def _cross_energy_sum(g1, g2, ratios=None):
     """Midpoint-rule sum of |v1||v2| / |m1 - m2|^2 over segment pairs. A
     list passed as `ratios` gets each tile's least midpoint distance over
@@ -116,12 +108,28 @@ def _cross_energy_sum(g1, g2, ratios=None):
     len2 = np.linalg.norm(v2, axis=1)
 
     def tiles():
-        for rows, d2, terms in _cross_terms(m1, len1, m2, len2):
+        for rows, _, d2 in _pair_tiles(m1, m2):
             if ratios is not None:
                 ratios.append(float((np.sqrt(d2) / np.maximum(len1[rows, None], len2)).min()))
-            yield terms.ravel().tolist()
+            yield ((len1[rows, None] * len2) / d2).ravel().tolist()
 
     return math.fsum(itertools.chain.from_iterable(tiles()))
+
+
+def _cross_row_sums(m1, m2, len2):
+    """Row sums a_i = sum_j len2_j / d_ij^2 and b_i = sum_j len2_j (m1_i -
+    m2_j) / d_ij^4 between the midpoints m1 (n, d) and the midpoints m2
+    (m, d) with lengths len2, where d_ij = |m1_i - m2_j|. Each row is
+    reduced whole by np.sum, so the sums do not depend on the tiling."""
+    a = np.empty(len(m1))
+    b = np.empty_like(m1)
+    for rows, diff, d2 in _pair_tiles(m1, m2):
+        w = len2 / d2
+        a[rows] = w.sum(axis=1)
+        w /= d2
+        for k, dk in enumerate(diff):
+            b[rows, k] = (w * dk).sum(axis=1)
+    return a, b
 
 
 def mobius_energy(link):

@@ -167,23 +167,22 @@ def _segments(g):
 
 
 def _pair_tiles(p, q):
-    """Row tiles (rows, diff, d2) of the differences p[i] - q[j] and their
-    squared norms, about _TILE_PAIRS pairs each. A row of p may hold several
-    points, shape (n, ..., d), and is never split.
+    """Row tiles (rows, diff, d2) of the differences p[i] - q[j] between the
+    points p (n, d) and q (m, d), and their squared norms, about _TILE_PAIRS
+    pairs each.
 
-    `diff` is a list of d contiguous arrays of shape (rows, ..., m), one per
-    coordinate: diff[k] = p[rows, ..., k, None] - q.T[k]. `d2` adds the
-    squared coordinates in the order 0, 1, ..., d - 1, the order in which
-    np.sum(..., axis=-1) reduces a short last axis. Entries therefore equal
-    those of the full interleaved broadcast bit for bit, so exact (min,
-    fsum) and per-row reductions do not depend on the tiling, and memory is
-    one tile instead of n * m pairs."""
+    `diff` is a list of d contiguous (rows, m) arrays, one per coordinate:
+    diff[k] = p[rows, k, None] - q.T[k]. `d2` adds the squared coordinates
+    in the order 0, 1, ..., d - 1, the order in which np.sum(..., axis=-1)
+    reduces a short last axis. Entries therefore equal those of the full
+    interleaved broadcast bit for bit, so exact (min, fsum) and per-row
+    reductions do not depend on the tiling, and memory is one tile instead
+    of n * m pairs."""
     qt = np.ascontiguousarray(q.T)
-    per_row = len(q) * (p[0].size // p.shape[-1])
-    step = max(1, _TILE_PAIRS // per_row)
+    step = max(1, _TILE_PAIRS // len(q))
     for start in range(0, len(p), step):
         rows = slice(start, start + step)
-        diff = [p[rows, ..., k, None] - qt[k] for k in range(p.shape[-1])]
+        diff = [p[rows, k, None] - qt[k] for k in range(p.shape[1])]
         d2 = diff[0] * diff[0]
         for dk in diff[1:]:
             d2 += dk * dk

@@ -1,13 +1,14 @@
 """Descent on bending and cross energies, and the tube radius sweep.
 
-Gradients are central finite differences of the same discrete energies the
-rest of the package reports, so a descent step can never game the
-measurement. The bending descent differentiates and line-searches one model,
-curvature._LocalEnergyModel, built once for the mesh's connectivity; its
-gradient refits only the stencil rows a probe can change (see curvature.py).
-The cross-energy gradient recomputes only the quadrature rows of the moved
-vertex's two segments. Tube faces depend only on the resolution, so the
-radius sweep fits every tube on one model as well.
+Both gradients differentiate the same discrete energies the rest of the
+package reports, so a descent step can never game the measurement. The
+bending gradient is a central difference of one model,
+curvature._LocalEnergyModel, built once for the mesh's connectivity and
+line-searched by the bending descent; it refits only the stencil rows a
+probe can change (see curvature.py). The cross-energy gradient is exact
+for the midpoint rule: one tiled pass of row sums per component. Tube
+faces depend only on the resolution, so the radius sweep fits every tube
+on one model as well.
 """
 
 from typing import NamedTuple
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import _LocalEnergyModel
-from .energies import _cross_energy_sum, _cross_terms
+from .energies import _cross_energy_sum, _cross_row_sums
 from .errors import InputError, MeshQualityError, ParameterError
 from .mesh import PolyLink, _diameter, _min_gap, _segments
 from .shapes import tube_torus
@@ -133,40 +134,28 @@ def willmore_descent(mesh, steps=20, move_scale=0.02):
 
 
 def mobius_gradient(link):
-    """Central-difference gradient of the cross energy of an R^3 link.
+    """Gradient of the cross energy of an R^3 link, exact for the midpoint rule.
 
-    Moving one vertex only changes the two quadrature rows of its adjacent
-    segments, so each difference recomputes two rows rather than the whole
-    double sum. Per axis and sign all vertices are displaced at once, each
-    with its own two segments, in vertex tiles of the pair kernel; each
-    vertex sums its (2, other curve) block alone, in the same order as a
-    one-vertex difference. Returns (grad1, grad2) matching gamma1 and gamma2.
+    Segment i of one component (vector v_i, length l_i, midpoint m_i) adds
+    l_i a_i to the energy, with the row sums a_i and b_i of
+    energies._cross_row_sums against the other component. Vertex k ends
+    segment k - 1 and starts segment k, so it gets
+    (T_{k-1} - P_{k-1}) - (T_k + P_k) with T_i = a_i v_i / l_i and
+    P_i = l_i b_i. A zero-length segment takes T_i = 0, the central
+    difference of |v| at v = 0. Returns (grad1, grad2) matching gamma1 and
+    gamma2.
     """
     if link.dim != 3:
         raise InputError("descent runs on links in R^3; project first")
-    h = 1e-6 * link.diameter()
-
+    segs = [(m, v, np.linalg.norm(v, axis=1))
+            for m, v in (_segments(link.gamma1), _segments(link.gamma2))]
     grads = []
-    for ga, gb in ((link.gamma1, link.gamma2), (link.gamma2, link.gamma1)):
-        g = np.zeros_like(ga)
-        mb, vb = _segments(gb)
-        lb = np.linalg.norm(vb, axis=1)
-        for axis in range(3):
-            vals = []
-            for sign in (1.0, -1.0):
-                moved = ga.copy()
-                moved[:, axis] += sign * h
-                # per vertex k: segment k-1 ends at the displaced vertex,
-                # segment k starts there; both other ends stay put
-                ends = np.stack([np.roll(ga, 1, axis=0), moved,
-                                 np.roll(ga, -1, axis=0)], axis=1)
-                mid = 0.5 * (ends[:, :2] + ends[:, 1:])
-                ln = np.linalg.norm(ends[:, 1:] - ends[:, :2], axis=2)
-                vals.append(np.concatenate([
-                    terms.reshape(len(terms), -1).sum(axis=1)
-                    for _, _, terms in _cross_terms(mid, ln, mb, lb)]))
-            g[:, axis] = (vals[0] - vals[1]) / (2.0 * h)
-        grads.append(g)
+    for (ma, va, la), (mb, _, lb) in (segs, segs[::-1]):
+        a, b = _cross_row_sums(ma, mb, lb)
+        la = la[:, None]
+        t = np.divide(a[:, None] * va, la, out=np.zeros_like(va), where=la > 0.0)
+        p = la * b
+        grads.append(np.roll(t - p, 1, axis=0) - (t + p))
     return grads[0], grads[1]
 
 

@@ -422,12 +422,13 @@ def scaling_fit(estimates):
 # ---------------------------------------------------------------------------
 
 
-def polynomial_sup_length(mesh, degree, samples=200, seed=0):
+def polynomial_sup_length(mesh, degree, samples=200):
     """Sampled sup of zero-set length over the full degree-d family on S^2.
 
     The zero set of a degree-d polynomial on the unit sphere can never be
     longer than d great circles, so the sup must stay under 2 pi d. The
-    polyline extraction measures chords, which only undershoots.
+    polyline extraction measures chords, which only undershoots. Degree d
+    always draws the same directions, from the seed key [0, d].
     """
     _require_unit_sphere_mesh(mesh)
     if degree < 1:
@@ -436,7 +437,7 @@ def polynomial_sup_length(mesh, degree, samples=200, seed=0):
         raise ParameterError("samples must be at least 1")
     columns = real_harmonic_basis(mesh.vertices, degree)
     size = (degree + 1) ** 2
-    sup = _sampled_sup(mesh, columns, size, samples, [seed, degree])
+    sup = _sampled_sup(mesh, columns, size, samples, [0, degree])
     return FamilySupReport(degree=degree, sup_length=sup,
                            budget=2.0 * math.pi * degree, samples=samples)
 
@@ -445,12 +446,12 @@ def polynomial_sup_length(mesh, degree, samples=200, seed=0):
 _BUDGET_TOL = 0.02
 
 
-def length_budget_check(mesh, max_degree=6, samples=200, seed=0):
+def length_budget_check(mesh, max_degree=6, samples=200):
     """Check sup length <= 2 pi d (1 + _BUDGET_TOL) for every degree through
     max_degree. Returns the reports; raises GeometryError on a violation."""
     reports = []
     for d in range(1, max_degree + 1):
-        rep = polynomial_sup_length(mesh, d, samples=samples, seed=seed)
+        rep = polynomial_sup_length(mesh, d, samples=samples)
         if rep.sup_length > rep.budget * (1.0 + _BUDGET_TOL):
             raise GeometryError(
                 f"degree {d} zero set of length {rep.sup_length:.4f} exceeds "

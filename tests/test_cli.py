@@ -149,6 +149,18 @@ def test_optimize_writes_monotone_trace(tmp_path, capsys):
     assert energies == sorted(energies, reverse=True)
 
 
+def test_tube_sweep_csv_finds_sqrt2(capsys):
+    code, out = run(capsys, "tube-sweep", "--resolution", "16")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "radius,energy" and len(lines) == 1 + 100 + 2
+    rows = [tuple(map(float, r.split(","))) for r in lines[1:101]]
+    tag, min_radius = lines[101].split(",")
+    assert tag == "# min_radius"
+    assert float(min_radius) == min(rows, key=lambda r: r[1])[0]
+    assert abs(float(min_radius) - np.sqrt(2.0)) < 0.02
+
+
 def test_hk_subcommand(tmp_path, capsys):
     mesh = str(tmp_path / "ct.obj")
     main(["generate", "clifford_torus", "--resolution", "16", "-o", mesh])

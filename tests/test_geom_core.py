@@ -332,13 +332,12 @@ def test_min_distance_matches_brute_force():
 @pytest.mark.parametrize("p_shape, m", [
     ((300, 3), 700),       # R^3 points: 93-row tiles
     ((300, 4), 700),       # R^4 points
-    ((400, 2, 3), 700),    # mobius_gradient's two segments per row: 46-row tiles
 ])
 def test_pair_tiles_match_the_interleaved_broadcast(p_shape, m):
     rng = np.random.default_rng(11)
     p = rng.normal(size=p_shape)
     q = rng.normal(size=(m, p_shape[-1]))
-    full = p[:, ..., None, :] - q
+    full = p[:, None, :] - q
     covered = 0
     for rows, diff, d2 in _pair_tiles(p, q):
         assert rows.start == covered

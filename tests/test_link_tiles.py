@@ -3,7 +3,8 @@
 The references below build every n x m midpoint pair at once, as the link
 sums did before they were tiled. The test links have components of unequal
 length, 300 and 700 vertices, so a 2^16-pair tile holds 93 rows and its
-boundaries fall mid-curve; results must agree bit for bit.
+boundaries fall mid-curve; results must agree bit for bit. The link
+gradient is also held to the similarity invariances of the energy.
 """
 
 import os
@@ -18,9 +19,11 @@ import pytest
 import cel
 from cel import PolyLink, ResolutionWarning, linking_number, mobius_energy
 from cel._accum import stable_sum
-from cel.energies import _cross_energy_sum
+from cel.energies import _cross_energy_sum, _far_pole
+from cel.fixtures import perturb_link
 from cel.mesh import _TILE_PAIRS, _segments
 from cel.optimize import mobius_gradient
+from cel.projection import project_link
 
 
 def _reference_cross_energy(g1, g2):
@@ -57,34 +60,27 @@ def _reference_linking_integral(link):
 
 
 def _reference_mobius_gradient(link):
-    """Per-vertex central differences of the two rows a vertex moves."""
-    h = 1e-6 * link.diameter()
-
-    def row_sums(ga, mb, lb, k):
-        n = len(ga)
-        segs = np.array([(k - 1) % n, k])
-        a = ga[segs]
-        b = ga[(segs + 1) % n]
-        mid = 0.5 * (a + b)
-        ln = np.linalg.norm(b - a, axis=1)
-        d2 = np.sum((mid[:, None, :] - mb[None, :, :]) ** 2, axis=2)
-        return float(np.sum((ln[:, None] * lb[None, :]) / d2))
-
+    """The exact gradient's arithmetic on every midpoint pair at once."""
     grads = []
     for ga, gb in ((link.gamma1, link.gamma2), (link.gamma2, link.gamma1)):
-        g = np.zeros_like(ga)
+        ma, va = _segments(ga)
         mb, vb = _segments(gb)
+        la = np.linalg.norm(va, axis=1)[:, None]
         lb = np.linalg.norm(vb, axis=1)
-        for k in range(len(ga)):
-            for axis in range(3):
-                vals = []
-                for sign in (1.0, -1.0):
-                    pert = ga.copy()
-                    pert[k, axis] += sign * h
-                    vals.append(row_sums(pert, mb, lb, k))
-                g[k, axis] = (vals[0] - vals[1]) / (2.0 * h)
-        grads.append(g)
+        diff = ma[:, None, :] - mb[None, :, :]
+        d2 = np.sum(diff ** 2, axis=2)
+        a = np.sum(lb / d2, axis=1)
+        w = lb / d2 / d2
+        b = np.stack([np.sum(w * diff[:, :, k], axis=1) for k in range(3)], axis=1)
+        t = a[:, None] * va / la
+        p = la * b
+        grads.append(np.roll(t - p, 1, axis=0) - (t + p))
     return grads
+
+
+def _flat_hopf(resolution):
+    hopf = cel.hopf_link(resolution)
+    return project_link(hopf, _far_pole(hopf))
 
 
 def _unequal_link(gap, seed):
@@ -128,10 +124,27 @@ def test_linking_integral_matches_untiled_sum(gap):
     assert rep.value == int(round(raw)) and rep.residual == abs(raw - rep.value)
 
 
-def test_mobius_gradient_matches_per_vertex_loop():
+def test_mobius_gradient_matches_untiled_row_sums():
     link = _unequal_link(0.5, seed=4)
     for fast, slow in zip(mobius_gradient(link), _reference_mobius_gradient(link)):
         assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: perturb_link(_flat_hopf(64), 0.05, seed=1),
+    lambda: perturb_link(_flat_hopf(64), 0.05, seed=2),
+    lambda: perturb_link(_flat_hopf(64), 0.08, seed=3),
+    lambda: _unequal_link(0.5, seed=4),
+], ids=["hopf_seed1", "hopf_seed2", "hopf_seed3", "unequal"])
+def test_mobius_gradient_is_similarity_invariant(build):
+    # translating, scaling or rotating the whole link keeps its midpoint-rule
+    # energy, so the gradient g at the vertices x has sum g = 0,
+    # sum x . g = 0 and sum x cross g = 0, each up to round-off
+    link = build()
+    x = np.vstack([link.gamma1, link.gamma2])
+    g = np.vstack(mobius_gradient(link))
+    for terms in (g, np.sum(x * g, axis=1, keepdims=True), np.cross(x, g)):
+        assert np.all(np.abs(terms.sum(axis=0)) <= 1e-13 * np.abs(terms).sum(axis=0))
 
 
 _RSS_SCRIPT = """
