@@ -24,7 +24,6 @@ from .errors import (DegenerateInputError, GeometryError, InputError,
                      NearPoleError, ParameterError)
 from .mesh import PolyLink, TriMesh
 from .projection import _rows, stereographic, stereographic_inverse
-from .shapes import _orthobasis
 
 
 def _ball_point(v, what):
@@ -97,13 +96,12 @@ def apply_dilation(dilation, points):
         raise NearPoleError("point within 1e-9 of the dilation pole; "
                             "the chart cannot resolve it")
 
-    basis = _orthobasis(pole)
     out = np.empty_like(pts)
     out[at_pole] = pole
     free = ~at_pole
     if free.any():
-        chart = stereographic(pts[free], pole, basis=basis)
-        out[free] = stereographic_inverse(dilation.scale * chart, pole, basis=basis)
+        chart = stereographic(pts[free], pole)
+        out[free] = stereographic_inverse(dilation.scale * chart, pole)
     return out
 
 

@@ -155,18 +155,19 @@ def _tangent_pair(normals):
     return e1, e2
 
 
-def _tangent_bases(verts, ambient):
-    """Per-vertex orthonormal bases (V, 3, 4) of the S^3 tangent spaces p-perp,
-    by Gram-Schmidt over the three axes least aligned with p; None in R^3."""
-    if ambient != "S3":
-        return None
-    V = len(verts)
-    order = np.argsort(np.abs(verts), axis=1, kind="stable")
-    basis = np.zeros((V, 3, 4))
+def _tangent_bases(points):
+    """Orthonormal bases (n, 3, 4) of the tangent spaces p-perp of unit
+    points p (n, 4) of S^3, by Gram-Schmidt over the three axes least
+    aligned with p, with det[p; basis] < 0 at every point. This is the one
+    frame of p-perp in the package: the curvature charts, the stereographic
+    charts and the geodesic spheres all use it, so all share its handedness."""
+    n = len(points)
+    order = np.argsort(np.abs(points), axis=1, kind="stable")
+    basis = np.zeros((n, 3, 4))
     for k in range(3):
-        cand = np.zeros((V, 4))
-        cand[np.arange(V), order[:, k]] = 1.0
-        cand -= np.einsum("ij,ij->i", cand, verts)[:, None] * verts
+        cand = np.zeros((n, 4))
+        cand[np.arange(n), order[:, k]] = 1.0
+        cand -= np.einsum("ij,ij->i", cand, points)[:, None] * points
         for prev in range(k):
             b = basis[:, prev, :]
             cand -= np.einsum("ij,ij->i", cand, b)[:, None] * b
@@ -174,14 +175,14 @@ def _tangent_bases(verts, ambient):
         if np.any(norms < 1e-8):
             raise MeshQualityError("degenerate tangent basis on S3")
         basis[:, k, :] = cand / norms[:, None]
-    # consistent handedness across vertices, otherwise winding normals
-    # computed inside the charts flip sign from vertex to vertex. Gram-Schmidt
-    # only adds multiples of earlier rows and scales by positive factors, so
+    # one handedness at every point, otherwise winding normals computed
+    # inside the charts flip sign from vertex to vertex. Gram-Schmidt only
+    # adds multiples of earlier rows and scales by positive factors, so
     # det[p; basis] has the sign of det[p; e_o0; e_o1; e_o2], which is
     # -sgn(order) * sgn(p[o3]) for the last axis o3 of the row's order
     odd = sum(order[:, i] > order[:, j]
               for i in range(4) for j in range(i + 1, 4)) % 2 == 1
-    flip = (verts[np.arange(V), order[:, 3]] > 0.0) == odd
+    flip = (points[np.arange(n), order[:, 3]] > 0.0) == odd
     basis[flip, 2, :] = -basis[flip, 2, :]
     return basis
 
@@ -319,12 +320,16 @@ class _LocalEnergyModel:
         self.ambient = mesh.ambient
         self.ring, self.counts, self.fan = _stencils(mesh)
 
+    def _bases(self, points):
+        """S^3 tangent bases at the points; None in R^3."""
+        return _tangent_bases(points) if self.ambient == "S3" else None
+
     def _rows(self, positions, rows):
         """S^3 tangent bases (None in R^3), chart coordinates and ambient
         differences of the two-ring of each row in `rows`, padded slots
         charted as exactly zero."""
         nbr = self.ring[rows]
-        basis = _tangent_bases(positions[rows], self.ambient)
+        basis = self._bases(positions[rows])
         local, diff = _chart(positions[rows], positions[nbr], basis)
         local[nbr == rows[:, None]] = 0.0
         return basis, local, diff
@@ -390,8 +395,7 @@ class _LocalEnergyModel:
                     moved[:, axis] += sign * h
                     if self.ambient == "S3":
                         moved /= np.linalg.norm(moved, axis=1)[:, None]
-                    own_local, own_diff = _chart(
-                        moved, nbr_pts, _tangent_bases(moved, self.ambient))
+                    own_local, own_diff = _chart(moved, nbr_pts, self._bases(moved))
                     own_local[pad] = 0.0
                     local[lead], diff[lead] = own_local, own_diff
                     moved_local, moved_diff = _chart(

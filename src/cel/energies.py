@@ -36,8 +36,7 @@ from .curvature import _field_energy, estimate_curvatures
 from .errors import InputError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
 from .projection import project_link
-from .shapes import (RESOLUTION_FLOOR, _grid_torus_faces, _orthobasis,
-                     make_shape)
+from .shapes import RESOLUTION_FLOOR, _grid_torus_faces, make_shape
 
 
 class EnergyReport(NamedTuple):
@@ -98,19 +97,22 @@ def willmore_energy(mesh, error_estimate=True):
 # ---------------------------------------------------------------------------
 
 
-def _cross_energy_sum(g1, g2, ratios=None):
+def _cross_energy_sum(g1, g2, near=None):
     """Midpoint-rule sum of |v1||v2| / |m1 - m2|^2 over segment pairs. A
-    list passed as `ratios` gets each tile's least midpoint distance over
-    the longer of the two segment lengths."""
+    list passed as `near` gets one flag per tile: whether some pair's
+    midpoints are closer than ten times the longer of its two segments,
+    tested as d^2 < 100 max(l1, l2)^2, so that zero-length segments
+    divide nothing."""
     m1, v1 = _segments(g1)
     m2, v2 = _segments(g2)
     len1 = np.linalg.norm(v1, axis=1)
     len2 = np.linalg.norm(v2, axis=1)
+    reach1, reach2 = 100.0 * len1 ** 2, 100.0 * len2 ** 2
 
     def tiles():
         for rows, _, d2 in _pair_tiles(m1, m2):
-            if ratios is not None:
-                ratios.append(float((np.sqrt(d2) / np.maximum(len1[rows, None], len2)).min()))
+            if near is not None:
+                near.append(bool((d2 < np.maximum(reach1[rows, None], reach2)).any()))
             yield ((len1[rows, None] * len2) / d2).ravel().tolist()
 
     return math.fsum(itertools.chain.from_iterable(tiles()))
@@ -141,9 +143,9 @@ def mobius_energy(link):
     long segment far from the other curve does not trip it). The error
     estimate reruns the sum on curves subsampled to every other vertex.
     """
-    ratios = []
-    value = _cross_energy_sum(link.gamma1, link.gamma2, ratios)
-    if min(ratios) < 10.0:
+    near = []
+    value = _cross_energy_sum(link.gamma1, link.gamma2, near)
+    if any(near):
         warnings.warn("link components pass within 10 segment lengths; "
                       "increase the curve resolution", ResolutionWarning)
     coarse = _cross_energy_sum(link.gamma1[::2], link.gamma2[::2])
@@ -210,17 +212,12 @@ def _linking_bound(link, report):
     """Linking number of `link` and the 4 pi |lk| bound on its cross energy,
     whose mobius_energy report is given.
 
-    Links in R^4 are projected first. The chart maps the antipode of the
-    pole to the origin with differential along _orthobasis(pole), so it
-    keeps the orientation of S^3 (outward normal first) exactly when
-    det[-pole; basis] > 0; the projected linking number is multiplied by
-    that sign so the reported value does not depend on the pole.
+    Links in R^4 are projected first, from `_far_pole`; every stereographic
+    chart keeps the orientation of S^3, so the projected linking number
+    does not depend on the pole.
     """
     if link.dim == 4:
-        pole = _far_pole(link)
-        lk = linking_number(project_link(link, pole))
-        if np.linalg.det(np.vstack([pole, _orthobasis(pole)])) > 0.0:
-            lk = lk._replace(value=-lk.value)
+        lk = linking_number(project_link(link, _far_pole(link)))
     else:
         lk = linking_number(link)
     bound = 4.0 * np.pi * abs(lk.value)

@@ -23,8 +23,14 @@ from .shapes import tube_torus
 
 
 class DescentTrace(NamedTuple):
-    energies: list        # energy after each accepted configuration
-    gradient_norms: list  # Frobenius norm per computed gradient
+    """energies[0] is the starting energy and energies[i] the energy after
+    accepted step i, a kept resample replacing its step's energy;
+    gradient_norms[i] is the Frobenius norm of the gradient taken where
+    energies[i] was. A run of k accepted steps that ends at 'max_steps'
+    has k + 1 energies and k gradient norms."""
+
+    energies: list
+    gradient_norms: list
     status: str           # 'max_steps', 'stationary', 'stagnated', 'collision'
 
 
@@ -147,8 +153,13 @@ def mobius_gradient(link):
     """
     if link.dim != 3:
         raise InputError("descent runs on links in R^3; project first")
+    return _link_gradient(link.gamma1, link.gamma2)
+
+
+def _link_gradient(g1, g2):
+    """mobius_gradient of the closed polylines g1 and g2."""
     segs = [(m, v, np.linalg.norm(v, axis=1))
-            for m, v in (_segments(link.gamma1), _segments(link.gamma2))]
+            for m, v in (_segments(g1), _segments(g2))]
     grads = []
     for (ma, va, la), (mb, _, lb) in (segs, segs[::-1]):
         a, b = _cross_row_sums(ma, mb, lb)
@@ -187,7 +198,8 @@ def mobius_descent(link, steps=30, move_scale=0.02):
 
     Every `_RESAMPLE_EVERY` accepted steps the curves are resampled to
     uniform parameter spacing, but only if that does not raise the energy;
-    degenerating segment lengths otherwise stall the quadrature. Descent
+    degenerating segment lengths otherwise stall the quadrature. A kept
+    resample is part of its step: its energy replaces the step's. Descent
     stops with status 'collision' if the components run closer than
     `_COLLISION_TOL` times the link diameter, since the energy values past
     that point are quadrature artifacts.
@@ -209,8 +221,7 @@ def mobius_descent(link, steps=30, move_scale=0.02):
         if _min_gap(g1, g2) < _COLLISION_TOL * diameter:
             status = "collision"
             break
-        probe = PolyLink(g1, g2)
-        d1, d2 = mobius_gradient(probe)
+        d1, d2 = _link_gradient(g1, g2)
         gn = float(np.sqrt(np.sum(d1 * d1) + np.sum(d2 * d2)))
         gnorms.append(gn)
         if _stationarity(gn, diameter, energies[-1]) < _GRAD_TOL:
@@ -233,7 +244,7 @@ def mobius_descent(link, steps=30, move_scale=0.02):
             e_res = _cross_energy_sum(r1, r2)
             if e_res <= energies[-1]:
                 g1, g2 = r1, r2
-                energies.append(e_res)
+                energies[-1] = e_res
     return PolyLink(g1, g2), DescentTrace(energies=energies,
                                           gradient_norms=gnorms, status=status)
 

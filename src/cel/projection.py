@@ -2,16 +2,20 @@
 
 The forward map projects from a pole P: a point x of S^3 with x != P goes to
 the hyperplane orthogonal to P, scaled so that the equator two-sphere of P
-lands on the unit sphere of R^3. Coordinates on that hyperplane come from a
-deterministic orthonormal basis, so for the pole (0, 0, 0, -1) the image
-coordinates are just the first three ambient coordinates rescaled.
+lands on the unit sphere of R^3. Coordinates on that hyperplane come from
+the frame of P-perp that the curvature charts use (curvature._tangent_bases),
+which has det[P; frame] < 0 at every P. So every chart keeps the orientation
+of S^3 as the boundary of the unit ball (outward normal first), whatever the
+pole. For the pole (0, 0, 0, 1) the image coordinates are just the first
+three ambient coordinates rescaled.
 """
 
 import numpy as np
 
+from .curvature import _tangent_bases
 from .errors import InputError, NearPoleError, ParameterError
 from .mesh import PolyLink, TriMesh
-from .shapes import _orthobasis, _unit_r4
+from .shapes import _unit_r4
 
 
 def _rows(points, dim):
@@ -30,19 +34,17 @@ def _check_on_sphere(points):
         raise InputError(f"points must lie on S^3 (max |1 - |x|| = {err.max():.3g})")
 
 
-def stereographic(points, pole, basis=None):
+def stereographic(points, pole):
     """Project (n, 4) points of S^3 \\ {pole} to (n, 3) points of R^3.
 
-    x maps to (x - <x,P>P) / (1 - <x,P>), expressed in an orthonormal basis
-    of the hyperplane P-perp (`basis`, shape (3, 4), defaults to a
-    deterministic choice). The equator two-sphere of the pole maps to the
-    unit sphere, the antipode of the pole to the origin.
+    x maps to (x - <x,P>P) / (1 - <x,P>), expressed in the tangent frame of
+    P-perp. The equator two-sphere of the pole maps to the unit sphere, the
+    antipode of the pole to the origin.
     """
     pole = _unit_r4(pole, "pole")
     pts = _rows(points, 4)
     _check_on_sphere(pts)
-    if basis is None:
-        basis = _orthobasis(pole)
+    basis = _tangent_bases(pole[None])[0]
     diff = pts - pole
     dist = np.linalg.norm(diff, axis=1)
     if dist.min() < 1e-9:
@@ -53,12 +55,11 @@ def stereographic(points, pole, basis=None):
     return (pts @ basis.T) / denom[:, None]
 
 
-def stereographic_inverse(points, pole, basis=None):
+def stereographic_inverse(points, pole):
     """Inverse of `stereographic`: (n, 3) points of R^3 map back to S^3 \\ {pole}."""
     pole = _unit_r4(pole, "pole")
     pts = _rows(points, 3)
-    if basis is None:
-        basis = _orthobasis(pole)
+    basis = _tangent_bases(pole[None])[0]
     s = np.sum(pts**2, axis=1)
     out = (2.0 * (pts @ basis) + (s - 1.0)[:, None] * pole) / (s + 1.0)[:, None]
     return out / np.linalg.norm(out, axis=1)[:, None]

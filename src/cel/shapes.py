@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .curvature import _tangent_bases
 from .errors import ParameterError, ResolutionError
 from .mesh import PolyLink, TriMesh
 
@@ -164,35 +165,16 @@ def _unit_r4(vector, name):
     return vector / np.linalg.norm(vector)
 
 
-def _orthobasis(p):
-    """Deterministic orthonormal basis of the hyperplane orthogonal to p."""
-    p = np.asarray(p, dtype=np.float64)
-    p = p / np.linalg.norm(p)
-    d = len(p)
-    order = sorted(range(d), key=lambda i: (abs(p[i]), i))
-    basis = []
-    for idx in order:
-        cand = np.zeros(d)
-        cand[idx] = 1.0
-        cand -= p[idx] * p
-        for b in basis:
-            cand = cand - np.dot(cand, b) * b
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            basis.append(cand / norm)
-        if len(basis) == d - 1:
-            break
-    return np.array(basis)
-
-
 def geodesic_sphere(center, radius, resolution=32):
     """Distance sphere in S^3: points at geodesic distance `radius` from
-    `center`. Radius pi/2 gives a great two-sphere."""
+    `center`. Radius pi/2 gives a great two-sphere. Whatever the center,
+    the faces wind so that the normal points away from it, and
+    k1 = k2 = cot(radius) about that normal."""
     resolution = _check_resolution(resolution)
     center = _unit_r4(center, "center")
     if not 0.0 < radius < np.pi:
         raise ParameterError("radius must lie in (0, pi)")
-    basis = _orthobasis(center)  # (3, 4)
+    basis = _tangent_bases(center[None])[0]  # (3, 4)
     q, faces = _icosphere(resolution)
     verts = math.cos(radius) * center + math.sin(radius) * (q @ basis)
     verts /= np.linalg.norm(verts, axis=1)[:, None]

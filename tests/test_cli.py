@@ -8,6 +8,7 @@ import pytest
 import cel.cli
 import cel.energies
 from cel.cli import main
+from cel.fixtures import perturb_link
 
 
 def run(capsys, *argv):
@@ -147,6 +148,20 @@ def test_optimize_writes_monotone_trace(tmp_path, capsys):
     assert rows[0] == "step,energy,gradient_norm"
     energies = [float(r.split(",")[1]) for r in rows[1:]]
     assert energies == sorted(energies, reverse=True)
+
+
+def test_optimize_mobius_counts_only_descent_steps(tmp_path, capsys):
+    # 52 steps pass the resample at step 50, which is not a step of its own
+    hopf = cel.hopf_link(32)
+    flat = cel.project_link(hopf, cel.energies._far_pole(hopf))
+    link, trace = str(tmp_path / "l.json"), str(tmp_path / "trace.csv")
+    cel.save_link(perturb_link(flat, 0.08, seed=9), link)
+    code, out = run(capsys, "optimize", link, "--kind", "mobius",
+                    "--steps", "52", "--trace", trace)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["accepted_steps"] == 52 and payload["status"] == "max_steps"
+    assert len(open(trace).read().strip().splitlines()) == 1 + 52
 
 
 def test_tube_sweep_csv_finds_sqrt2(capsys):

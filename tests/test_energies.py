@@ -174,6 +174,20 @@ def test_mobius_warns_when_components_graze():
         mobius_energy(link)
 
 
+def test_mobius_energy_takes_a_repeated_vertex_in_each_component():
+    # two zero-length segments meet in the resolution criterion, which
+    # must compare them without dividing by their lengths
+    hopf = make_shape("hopf_link", resolution=16)
+    flat = project_link(hopf, _far_pole(hopf))
+    link = PolyLink(np.insert(flat.gamma1, 3, flat.gamma1[3], axis=0),
+                    np.insert(flat.gamma2, 5, flat.gamma2[5], axis=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = mobius_energy(link)
+    assert [w.category for w in caught] == [ResolutionWarning]
+    assert np.isfinite(rep.value) and np.isfinite(rep.error)
+
+
 def test_bound_margins():
     hopf = make_shape("hopf_link", resolution=128)
     rep = energy_linking_bound_check(hopf)
@@ -188,9 +202,8 @@ def test_bound_margins():
                          [(64, 0.0, 0), (256, 0.03, 0), (256, 0.1, 3)])
 def test_r4_linking_number_does_not_depend_on_the_pole(resolution, amplitude,
                                                         seed, monkeypatch):
-    # stereographic charts from different poles can reverse orientation;
-    # the reported value is in S^3's own orientation, so every candidate
-    # pole that clears the link must give the fibration's +1
+    # every stereographic chart keeps the orientation of S^3, so every
+    # candidate pole that clears the link must give the fibration's +1
     link = make_shape("hopf_link", resolution=resolution)
     if amplitude:
         link = perturb_link(link, amplitude, seed=seed)
@@ -205,8 +218,8 @@ def test_r4_linking_number_does_not_depend_on_the_pole(resolution, amplitude,
 
 
 def test_r4_linking_number_survives_dilations():
-    # a dilation is isotopic to the identity, yet it moves the far pole to
-    # charts of either orientation
+    # a dilation is isotopic to the identity, yet it moves the far pole
+    # from one candidate to another
     link = perturb_link(make_shape("hopf_link", resolution=256), 0.1, seed=3)
     for strength in (0.1, 0.3, 0.5):
         for axis in np.eye(4):

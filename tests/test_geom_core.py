@@ -17,7 +17,7 @@ from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
                  load_obj, make_shape, save_link, save_obj)
 from cel._accum import stable_sum
 from cel.curvature import _tangent_bases
-from cel.energies import gauss_map_torus
+from cel.energies import _POLE_CANDIDATES, gauss_map_torus
 from cel.fixtures import ellipsoid_s3, genus2_surface, perturb_mesh
 from cel.mesh import _pair_tiles, _segments
 from cel.projection import stereographic, stereographic_inverse
@@ -481,14 +481,40 @@ def _s3_point_sets():
                            id=f"ellipsoid{res}")
 
 
-@pytest.mark.parametrize("build", _s3_point_sets())
+@pytest.mark.parametrize("build", [*_s3_point_sets(), pytest.param(
+    lambda: np.vstack([_POLE_CANDIDATES, [0.6, 0.0, -0.8, 0.0]]), id="poles")])
 def test_tangent_bases_share_the_determinant_handedness(build):
     # the flip is read from the axis order and the sign of the largest
-    # coordinate; every frame [p; basis] must come out with det < 0
+    # coordinate; every frame [p; basis] must come out with det < 0, both
+    # in the curvature charts' batches and in the one-point frames of the
+    # stereographic charts and the geodesic sphere centers
     verts = build()
-    basis = _tangent_bases(verts, "S3")
+    basis = _tangent_bases(verts)
     frames = np.concatenate([verts[:, None, :], basis], axis=1)
     assert np.all(np.linalg.det(frames) < 0.0)
+    for p, batch in zip(verts[:16], basis):
+        assert np.array_equal(_tangent_bases(p[None])[0], batch)
+
+
+def test_geodesic_spheres_wind_away_from_every_center():
+    # one frame handedness: the normal points away from the center, and
+    # k1 = k2 = cot r > 0 about it, whichever candidate pole is the center
+    for center in _POLE_CANDIDATES:
+        gs = make_shape("geodesic_sphere", resolution=8, center=center, radius=1.0)
+        field = cel.estimate_curvatures(gs)
+        assert field.k1.mean() == pytest.approx(1.0 / np.tan(1.0), rel=0.02), center
+        assert np.all(field.normal @ center < 0.0), center
+
+
+def test_lifted_spheres_curve_one_way_from_every_pole():
+    # every stereographic chart keeps the orientation of S^3, so one R^3
+    # sphere lifts to images with one curvature sign from every pole
+    mesh = cel.sphere(radius=0.5, resolution=8)
+    signs = set()
+    for pole in _POLE_CANDIDATES:
+        field = cel.estimate_curvatures(cel.lift_mesh(mesh, pole))
+        signs.update(np.sign(np.concatenate([field.k1, field.k2])).tolist())
+    assert len(signs) == 1
 
 
 def test_faceless_mesh_raises_a_typed_error():

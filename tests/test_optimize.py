@@ -267,13 +267,16 @@ def test_mobius_descent_resamples_without_raising_the_energy(monkeypatch):
     resample = cel.optimize._resample_closed
 
     def counted(g, count):
-        calls.append(count)
-        return resample(g, count)
+        calls.append(resample(g, count))
+        return calls[-1]
 
     monkeypatch.setattr(cel.optimize, "_resample_closed", counted)
     _, trace = mobius_descent(link, steps=52)
-    assert calls == [32, 32]
-    assert len(trace.energies) == 1 + 52 + 1     # the resample was kept
+    assert [len(g) for g in calls] == [32, 32]
+    # a kept resample is no step: its energy replaces the one of step 50,
+    # and each energy still pairs with the gradient taken where it was
+    assert len(trace.energies) == 1 + 52 and len(trace.gradient_norms) == 52
+    assert trace.energies[50] == _cross_energy_sum(*calls)
     assert np.all(np.diff(trace.energies) <= 0.0)
 
 
