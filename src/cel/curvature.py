@@ -29,23 +29,22 @@ generators make (valence 5 to 7).
 the full-mesh estimate, fitted in blocks of `_FIT_ROWS` vertices at the
 global width m_max (batched products reduce in an order set by their inner
 size, so a narrower block would change bits); `energy` sums the one density,
-`_bending_density`, over that field, and `gradient` differences that energy.
-Stencils depend only on the faces, so a family whose members share one face
-array (the tubes of a radius sweep, the conformal images of one mesh) builds
-one model and passes each member's positions to it.
+`_bending_density`, over that field, and `gradient` differentiates that
+energy exactly. Stencils depend only on the faces, so a family whose members
+share one face array (the tubes of a radius sweep, the conformal images of
+one mesh) builds one model and passes each member's positions to it.
 
-The gradient is a central difference that refits only the terms a probe can
-change, those of the vertex and of its two-ring. Vertices are probed in
-fixed chunks of consecutive indices, each member with a copy of its stencil
-rows: its own row, recharted from its moved position, and one row per
-two-ring vertex in which only the slot holding the member is rewritten. No
-row copy sees two chunk-mates move, and entries a probe leaves alone are the
-same numbers in both probes of a difference, so every derivative is bit for
-bit a one-vertex difference, however the vertices are grouped. The chunk
-size bounds the working set of one kernel call; many more rows at once
-outgrow the cache and run slower. On the three-sphere positions are
-renormalized before every evaluation, so radial gradient components vanish
-identically and the descent needs no tangency constraint.
+The gradient is reverse-mode differentiation of the same forward pass, in
+blocks of `_GRAD_ROWS` stencil rows. Each kernel has its reverse next to
+it: `_quadric_fit_grad` takes the derivative of the least-squares solution
+with one more solve against the same normal matrix, `_fan_sums_grad` goes
+back through the unit fan normal and the barycentric areas, and
+`_chart_grad` through the chart. Each row's derivatives are then added to
+the vertices of its two-ring. Where the forward pass takes a square root
+of zero (a padded slot, a padded fan entry, a triangle of zero area) the
+reverse pass takes the derivative as zero. On the three-sphere the result
+is projected onto each vertex's tangent space, so radial gradient
+components vanish and the descent needs no tangency constraint.
 
 Sign convention: curvatures are reported with respect to the face-winding
 normal so that the unit round sphere with outward winding has k1 = k2 = +1.
@@ -57,7 +56,7 @@ import numpy as np
 
 from ._accum import stable_sum
 from .errors import MeshQualityError
-from .mesh import _adjacency, _diameter, _flat_area
+from .mesh import _adjacency, _flat_area
 
 
 @dataclass
@@ -131,9 +130,11 @@ def _stencils(mesh):
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 _FIT_ROWS = 2048    # vertices per block of the full-mesh estimate
-# vertices per gradient chunk, about 600 stencil row copies on the
-# near-regular generated meshes
-_CHUNK = 32
+# stencil rows per block of the gradient. A block's reverse pass keeps
+# several (rows, m_max, 10) arrays alive; past 128 rows a block gains
+# little speed, and 512-row blocks raised the peak memory of a short
+# descent benchmark by 2 to 9 percent
+_GRAD_ROWS = 128
 
 
 def _cross(u, w):
@@ -187,16 +188,16 @@ def _tangent_bases(points):
     return basis
 
 
-def _s3_chart(base_pts, nbr_pts):
-    """Inverse exponential map: coordinates of nbr relative to base, as a
-    vector in the base tangent space (still in R^4). Broadcasts over the
-    leading axes."""
+def _s3_log(base_pts, nbr_pts):
+    """Inverse exponential map of S^3, log_p q = f u with d = p.q,
+    u = q - d p and f = acos(d) / |u|, taken as 1 where |u| vanishes.
+    Returns d, u, |u| and f; broadcasts over the leading axes."""
     dots = np.clip(np.einsum("...d,...d->...", base_pts, nbr_pts), -1.0, 1.0)
     theta = np.arccos(dots)
     u = nbr_pts - dots[..., None] * base_pts
     un = np.linalg.norm(u, axis=-1)
     scale = np.where(un > 1e-14, theta / np.where(un > 1e-14, un, 1.0), 1.0)
-    return u * scale[..., None]
+    return dots, u, un, scale
 
 
 def _chart(base, pts, basis):
@@ -207,7 +208,39 @@ def _chart(base, pts, basis):
     diff = pts - base[:, None, :]
     if basis is None:
         return diff, diff
-    return _s3_chart(base[:, None, :], pts) @ basis.transpose(0, 2, 1), diff
+    _, u, _, scale = _s3_log(base[:, None, :], pts)
+    return (u * scale[..., None]) @ basis.transpose(0, 2, 1), diff
+
+
+def _chart_grad(base, pts, basis, g_local, g_diff):
+    """Pull derivatives along the chart coordinates (R, S, 3) and the plain
+    differences (R, S, d) of `_chart` back to base (R, d) and pts (R, S, d);
+    in R^3 the two are one and g_diff is None.
+
+    On S^3 the tangent basis adds nothing: the density is invariant under
+    rotating it, and log_p q is orthogonal to p, so the part of the basis'
+    motion that leaves p-perp does not move the coordinates either."""
+    if basis is None:
+        return -g_local.sum(axis=1), g_local
+    p = base[:, None, :]
+    g_log = g_local @ basis
+    # f'(d) = (d f - 1) / |u|^2 on the sphere, and g_log is orthogonal to p
+    dots, u, un, f = _s3_log(p, pts)
+    near = un > 1e-14
+    along = np.where(near, (dots * f - 1.0) / np.where(near, un * un, 1.0), 0.0)
+    along *= np.einsum("...d,...d->...", g_log, u)
+    g_pts = along[..., None] * p + f[..., None] * g_log + g_diff
+    g_base = along[..., None] * pts - (f * dots)[..., None] * g_log - g_diff
+    return g_base.sum(axis=1), g_pts
+
+
+def _corners(arr, fan):
+    """The two corners (R, f, d) of each fan triangle, read from the rows
+    of arr (R, m, d) at the triangles' two-ring slots."""
+    rows, width = fan.shape[:2]
+    pair = arr[np.arange(rows)[:, None], fan.reshape(rows, 2 * width)]
+    pair = pair.reshape(rows, width, 2, -1)
+    return pair[:, :, 0], pair[:, :, 1]
 
 
 def _fan_sums(local, diff, fan):
@@ -215,24 +248,55 @@ def _fan_sums(local, diff, fan):
 
     Each fan triangle is read from its two corners' two-ring slots: the
     winding cross product in chart coordinates gives the normal, the
-    ambient differences give the flat area."""
-    rows, width = fan.shape[:2]
-    at = (np.arange(rows)[:, None], fan.reshape(rows, 2 * width))
-
-    def corners(arr):
-        pair = arr[at].reshape(rows, width, 2, -1)
-        return pair[:, :, 0], pair[:, :, 1]
-
-    u, w = corners(local)
+    ambient differences give the flat area. The third value is the tape
+    `_fan_sums_grad` reads."""
+    u, w = _corners(local, fan)
     cross = _cross(u, w)
     if diff is not local:
-        u, w = corners(diff)
+        u, w = _corners(diff, fan)
     area = _flat_area(u, w)
     acc = cross.sum(axis=1)
     norms = np.linalg.norm(acc, axis=1)
     if np.any(norms < 1e-300):
         raise MeshQualityError("normal accumulation vanished")
-    return acc / norms[:, None], area.sum(axis=1) / 3.0
+    frame_n = acc / norms[:, None]
+    return frame_n, area.sum(axis=1) / 3.0, (area, frame_n, norms)
+
+
+def _slot_sums(values, fan, width):
+    """Sums (R, width, d) over the fan corners (R, f, 2, d) of each
+    two-ring slot the corners read."""
+    rows = len(fan)
+    flat = (np.arange(rows)[:, None, None] * width + fan).ravel()
+    values = values.reshape(len(flat), -1)
+    return np.stack([np.bincount(flat, weights=values[:, k], minlength=rows * width)
+                     for k in range(values.shape[1])], axis=1).reshape(rows, width, -1)
+
+
+def _fan_sums_grad(local, diff, fan, tape, g_n, g_weight):
+    """Pull the energy's derivatives along the frame normals g_n (R, 3)
+    and the weights g_weight (R,) back through `_fan_sums`: returns the
+    derivatives along local and diff, one array when the two are one. A
+    triangle of zero area (a padded fan entry among them) takes the
+    derivative of its area as 0: sqrt has none at 0."""
+    area, frame_n, norms = tape
+    width = local.shape[1]
+    g_acc = g_n - np.einsum("rk,rk->r", g_n, frame_n)[:, None] * frame_n
+    g_acc = (g_acc / norms[:, None])[:, None, :]
+    u, w = _corners(local, fan)
+    g_local = np.stack([_cross(w, g_acc), _cross(g_acc, u)], axis=2)
+    # d area = (|w|^2 u - (u.w) w) . du / (4 area), and the same with u, w
+    # swapped; the weight is a third of the areas' sum
+    if diff is not local:
+        u, w = _corners(diff, fan)
+    uu, ww, uw = (np.einsum("...d,...d->...", a, b) for a, b in ((u, u), (w, w), (u, w)))
+    rate = np.divide(g_weight[:, None] / 12.0, area, out=np.zeros_like(area),
+                     where=area > 0.0)[..., None]
+    g_diff = np.stack([rate * (ww[..., None] * u - uw[..., None] * w),
+                       rate * (uu[..., None] * w - uw[..., None] * u)], axis=2)
+    if diff is local:
+        return _slot_sums(g_local + g_diff, fan, width), None
+    return _slot_sums(g_local, fan, width), _slot_sums(g_diff, fan, width)
 
 
 def _quadric_fit(local, frame_n, counts):
@@ -242,10 +306,12 @@ def _quadric_fit(local, frame_n, counts):
     exactly zero in padded slots; frame_n (R, 3) holds unit frame normals
     and counts (R,) the real stencil sizes. Returns the fitted slopes
     (a1, a2) along the tangent pair (e1, e2), the principal curvatures
-    (k1, k2) with k1 >= k2, and (e1, e2).
+    (k1, k2) with k1 >= k2, (e1, e2), and the tape `_quadric_fit_grad`
+    reads.
     """
     e1, e2 = _tangent_pair(frame_n)
-    xyh = local @ np.stack([e1, e2, frame_n], axis=2)
+    frame = np.stack([e1, e2, frame_n], axis=2)
+    xyh = local @ frame
 
     # per-row scale normalization keeps the normal equations conditioned
     # and makes the estimate exactly scale equivariant
@@ -293,7 +359,60 @@ def _quadric_fit(local, frame_n, counts):
     # tr^2 - 4 det is expanded so that it does not cancel at umbilics
     tr = -(s11 + s22)
     disc = np.sqrt(np.maximum((s11 - s22) ** 2 + 4.0 * s12 * s21, 0.0))
-    return (a1, a2), (0.5 * (tr + disc), 0.5 * (tr - disc)), (e1, e2)
+    tape = (frame, xyh, scale, design, normal, coef)
+    return (a1, a2), (0.5 * (tr + disc), 0.5 * (tr - disc)), (e1, e2), tape
+
+
+def _quadric_fit_grad(local, counts, tape, g_tr):
+    """Pull the energy's derivative g_tr (R,) along tr = k1 + k2 back
+    through `_quadric_fit`: returns its derivatives along local (R, m, 3)
+    and frame_n (R, 3).
+
+    tr is the trace -(g22 hxx - 2 g12 hxy + g11 hyy) / (1 + a1^2 + a2^2)^(3/2)
+    of the Monge-patch shape operator. The coefficients c solve the normal
+    equations N c = D^T h, so with lam = N^-1 dE/dc the derivatives along
+    the design D and the heights h are r lam^T - (D lam) c^T and D lam, r =
+    h - D c being the residuals (Golub and Pereyra 1973). The frame enters
+    only through its normal: rotating (e1, e2) about it rotates the fitted
+    polynomial with its chart, which leaves tr unchanged."""
+    frame, xyh, scale, design, normal, coef = tape
+    a1, a2 = coef[:, 0], coef[:, 1]
+    hxx, hxy, hyy = (coef[:, 2:5] / scale[:, None]).T
+    q = 1.0 + a1 * a1 + a2 * a2
+    q32 = q * np.sqrt(q)
+    tr = -((1.0 + a2 * a2) * hxx - 2.0 * a1 * a2 * hxy + (1.0 + a1 * a1) * hyy) / q32
+    g_coef = np.zeros_like(coef)
+    g_coef[:, 0] = -g_tr * (2.0 * (a1 * hyy - a2 * hxy) / q32 + 3.0 * a1 * tr / q)
+    g_coef[:, 1] = -g_tr * (2.0 * (a2 * hxx - a1 * hxy) / q32 + 3.0 * a2 * tr / q)
+    g_coef[:, 2:5] = (g_tr / (q32 * scale))[:, None] * np.stack(
+        [-(1.0 + a2 * a2), 2.0 * a1 * a2, -(1.0 + a1 * a1)], axis=1)
+    # tr is linear in (hxx, hxy, hyy), each a coefficient over scale
+    g_scale = -g_tr * tr / scale
+
+    lam = np.linalg.solve(normal[:, :, :9], g_coef[:, :, None])
+    fit = design[:, :, :9]
+    d_lam = (fit @ lam)[:, :, 0]
+    resid = design[:, :, 9] - (fit @ coef[:, :, None])[:, :, 0]
+    g = resid[:, :, None] * lam[:, None, :, 0] - d_lam[:, :, None] * coef[:, None, :]
+    x, y = xyh[..., 0], xyh[..., 1]
+    g_x = (g[..., 0] + g[..., 2] * x + g[..., 3] * y
+           + x * (3.0 * g[..., 5] * x + 2.0 * g[..., 6] * y) + g[..., 7] * y * y)
+    g_y = (g[..., 1] + g[..., 3] * x + g[..., 4] * y
+           + g[..., 6] * x * x + y * (2.0 * g[..., 7] * x + 3.0 * g[..., 8] * y))
+    g_xyh = np.stack([g_x, g_y, d_lam], axis=2)
+
+    # xyh is the frame product over scale, and scale the mean length of the
+    # frame product's rows; a padded slot's row has length 0 and takes 0
+    g_scale -= np.einsum("rmk,rmk->r", g_xyh, xyh) / scale
+    lengths = np.sqrt(np.einsum("rmk,rmk->rm", xyh, xyh))
+    unit = np.divide(xyh, lengths[..., None], out=np.zeros_like(xyh),
+                     where=lengths[..., None] > 0.0)
+    g_xyh = g_xyh / scale[:, None, None] + (g_scale / counts)[:, None, None] * unit
+    g_local = g_xyh @ frame.transpose(0, 2, 1)
+    # g_n less the normal components of the tangents' derivatives
+    g_frame = local.transpose(0, 2, 1) @ g_xyh
+    tilt = np.einsum("rkj,rk->rj", g_frame[:, :, :2], frame[:, :, 2])
+    return g_local, g_frame[:, :, 2] - np.einsum("rkj,rj->rk", frame[:, :, :2], tilt)
 
 
 def _bending_density(ambient, k1, k2, weight):
@@ -334,77 +453,71 @@ class _LocalEnergyModel:
         local[nbr == rows[:, None]] = 0.0
         return basis, local, diff
 
-    def _terms(self, local, diff, fan, counts):
-        """Bending energy term of each stencil row from its fit inputs."""
-        frame_n, weight = _fan_sums(local, diff, fan)
-        _, (k1, k2), _ = _quadric_fit(local, frame_n, counts)
-        return _bending_density(self.ambient, k1, k2, weight)
+    def _forward(self, positions, rows):
+        """Charts, fan sums and fits of the stencil rows `rows`, each as its
+        kernel returns it: the one forward pass of `field` and `gradient`."""
+        basis, local, diff = self._rows(positions, rows)
+        fan = _fan_sums(local, diff, self.fan[rows])
+        return (basis, local, diff), fan, _quadric_fit(local, fan[0], self.counts[rows])
 
     def field(self, positions):
         """CurvatureField at the given positions."""
-        n, blocks = len(positions), []
-        for start in range(0, n, _FIT_ROWS):
-            rows = np.arange(start, min(start + _FIT_ROWS, n))
-            basis, local, diff = self._rows(positions, rows)
-            frame_n, weight = _fan_sums(local, diff, self.fan[rows])
-            (a1, a2), (k1, k2), (e1, e2) = _quadric_fit(local, frame_n, self.counts[rows])
-            # refine the normal with the fitted gradient
-            normal = frame_n - a1[:, None] * e1 - a2[:, None] * e2
-            normal /= np.linalg.norm(normal, axis=1)[:, None]
-            if basis is not None:
-                normal = np.einsum("vk,vkd->vd", normal, basis)
-                normal /= np.linalg.norm(normal, axis=1)[:, None]
-            blocks.append((k1, k2, normal, weight))
+        n = len(positions)
+        blocks = [self._field_rows(positions, np.arange(start, min(start + _FIT_ROWS, n)))
+                  for start in range(0, n, _FIT_ROWS)]
         k1, k2, normal, weight = map(np.concatenate, zip(*blocks))
         return CurvatureField(k1=k1, k2=k2, normal=normal, weight=weight)
+
+    def _field_rows(self, positions, rows):
+        """k1, k2, unit normals and weights of the stencil rows `rows`; the
+        forward pass's tapes die with the call, not with the next block."""
+        (basis, _, _), (frame_n, weight, _), fit = self._forward(positions, rows)
+        (a1, a2), (k1, k2), (e1, e2), _ = fit
+        # refine the normal with the fitted gradient
+        normal = frame_n - a1[:, None] * e1 - a2[:, None] * e2
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        if basis is not None:
+            normal = np.einsum("vk,vkd->vd", normal, basis)
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+        return k1, k2, normal, weight
 
     def energy(self, positions):
         """Total bending energy at the given positions."""
         return _field_energy(self.ambient, self.field(positions))
 
     def gradient(self, positions):
-        """Central-difference gradient of the total energy, (V, dim)."""
+        """Exact gradient of the total energy, (V, dim).
+
+        Each block of `_GRAD_ROWS` stencil rows runs the forward pass and
+        then its reverse: the fit, the fan sums and the chart pulled back in
+        turn, and the rows' derivatives added to their vertices. On S^3
+        each vertex's gradient is projected onto its tangent space, which
+        makes it the derivative of the energy of the renormalized
+        positions that the descent evaluates."""
         n, dim = positions.shape
-        h = 1e-5 * max(_diameter(positions), 1e-12)
         grad = np.zeros((n, dim))
-        for start in range(0, n, _CHUNK):
-            members = np.arange(start, min(start + _CHUNK, n))
-            # each member's row copies: its own row, then its two-ring
-            sizes = self.counts[members] + 1
-            lead = np.cumsum(sizes) - sizes
-            nbr = self.ring[members]
-            block = np.concatenate([members[:, None], nbr], axis=1)
-            rows = block[np.arange(block.shape[1]) < sizes[:, None]]
-            rest = np.delete(np.arange(len(rows)), lead)
-            owner = np.repeat(np.arange(len(members)), sizes)[rest]
-
-            basis, local, diff = self._rows(positions, rows)
-            fan, counts = self.fan[rows], self.counts[rows]
-            # every other row sees its member at exactly one two-ring slot;
-            # a probe rewrites the member rows and those slots, all other
-            # entries keep their unperturbed values
-            slot = np.argmax(self.ring[rows[rest]] == members[owner, None], axis=1)
-            rest_base = positions[rows[rest]]
-            rest_basis = None if basis is None else basis[rest]
-            nbr_pts, pad = positions[nbr], nbr == members[:, None]
-
-            for axis in range(dim):
-                sums = []
-                for sign in (1.0, -1.0):
-                    moved = positions[members]
-                    moved[:, axis] += sign * h
-                    if self.ambient == "S3":
-                        moved /= np.linalg.norm(moved, axis=1)[:, None]
-                    own_local, own_diff = _chart(moved, nbr_pts, self._bases(moved))
-                    own_local[pad] = 0.0
-                    local[lead], diff[lead] = own_local, own_diff
-                    moved_local, moved_diff = _chart(
-                        rest_base, moved[owner, None, :], rest_basis)
-                    local[rest, slot] = moved_local[:, 0]
-                    diff[rest, slot] = moved_diff[:, 0]
-                    terms = self._terms(local, diff, fan, counts)
-                    sums.append(np.add.reduceat(terms, lead))
-                grad[members, axis] = (sums[0] - sums[1]) / (2.0 * h)
+        for start in range(0, n, _GRAD_ROWS):
+            rows = np.arange(start, min(start + _GRAD_ROWS, n))
+            nbr = self.ring[rows]
+            (basis, local, diff), (_, weight, fan_tape), fit = self._forward(positions, rows)
+            _, (k1, k2), _, fit_tape = fit
+            # the density is H^2 w (plus w on S^3) with H = (k1 + k2) / 2,
+            # so its derivatives are H w along k1 + k2 and its value at
+            # w = 1 along w
+            g_local, g_n = _quadric_fit_grad(local, self.counts[rows], fit_tape,
+                                             0.5 * (k1 + k2) * weight)
+            g_fan, g_diff = _fan_sums_grad(local, diff, self.fan[rows], fan_tape, g_n,
+                                           _bending_density(self.ambient, k1, k2, 1.0))
+            g_base, g_nbr = _chart_grad(positions[rows], positions[nbr], basis,
+                                        g_local + g_fan, g_diff)
+            # a padded slot is a constant zero of the chart: its design row
+            # is zero and no fan entry reads it, so it adds exactly zero
+            at = np.concatenate([rows, nbr.ravel()])
+            values = np.concatenate([g_base, g_nbr.reshape(-1, dim)])
+            for k in range(dim):
+                grad[:, k] += np.bincount(at, weights=values[:, k], minlength=n)
+        if self.ambient == "S3":
+            grad -= np.einsum("vd,vd->v", grad, positions)[:, None] * positions
         return grad
 
 

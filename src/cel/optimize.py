@@ -2,13 +2,12 @@
 
 Both gradients differentiate the same discrete energies the rest of the
 package reports, so a descent step can never game the measurement. The
-bending gradient is a central difference of one model,
-curvature._LocalEnergyModel, built once for the mesh's connectivity and
-line-searched by the bending descent; it refits only the stencil rows a
-probe can change (see curvature.py). The cross-energy gradient is exact
-for the midpoint rule: one tiled pass of row sums per component. Tube
-faces depend only on the resolution, so the radius sweep fits every tube
-on one model as well.
+bending gradient is exact for one model, curvature._LocalEnergyModel, built
+once for the mesh's connectivity and line-searched by the bending descent:
+one reverse pass over its stencil rows (see curvature.py). The
+cross-energy gradient is exact for the midpoint rule: one tiled pass of
+row sums per component. Tube faces depend only on the resolution, so the
+radius sweep fits every tube on one model as well.
 """
 
 from typing import NamedTuple
@@ -47,7 +46,8 @@ class SweepReport(NamedTuple):
 
 
 def willmore_gradient(mesh):
-    """Finite-difference gradient of the bending energy, shape (V, dim)."""
+    """Exact gradient of the bending energy, shape (V, dim); on S^3 it is
+    tangent to the sphere at every vertex."""
     return _LocalEnergyModel(mesh).gradient(mesh.vertices)
 
 
