@@ -89,23 +89,13 @@ def parallel_area_curve(mesh, field=None, t_grid=None):
     return ParallelAreaCurve(t_grid=t_grid, areas=areas)
 
 
-def _member_curve(model, mesh, field, v, t_grid):
-    """Family areas over a t grid at fixed v. `model` holds the stencils of
-    the mesh's faces, which every conformal image keeps, and `field` is the
-    mesh's own curvature field, the v = 0 member's; an image is refitted."""
-    if np.linalg.norm(v) != 0.0:
-        mesh = dilate_mesh(mesh, v)
-        field = model.field(mesh.vertices)
-    return parallel_area_curve(mesh, field, t_grid)
-
-
 def canonical_family_curve(mesh, v, t_grid):
     """Family areas over a t grid at fixed v; curvatures of the conformal
     image are re-estimated from the image mesh, not transformed."""
     v = np.asarray(v, dtype=np.float64)
-    model = _LocalEnergyModel(mesh)
-    field = model.field(mesh.vertices) if np.linalg.norm(v) == 0.0 else None
-    return _member_curve(model, mesh, field, v, t_grid)
+    if np.linalg.norm(v) != 0.0:
+        mesh = dilate_mesh(mesh, v)
+    return parallel_area_curve(mesh, None, t_grid)
 
 
 def hk_verify(mesh, vmax=0.5, vsteps=5, tsteps=33):
@@ -130,13 +120,18 @@ def hk_verify(mesh, vmax=0.5, vsteps=5, tsteps=33):
                                 if s > 0.0 for d in dirs]
     t_grid = np.linspace(-np.pi, np.pi, tsteps)
 
-    # every member shares the mesh's faces: one model, one base fit
+    # every member shares the mesh's faces: one model, one base fit, and
+    # each dilated image refitted on the same stencils
     model = _LocalEnergyModel(mesh)
     field = model.field(mesh.vertices)
     energy = _willmore_report(mesh, field)
     best = (-np.inf, None, None)
     for v in v_grid:
-        curve = _member_curve(model, mesh, field, v, t_grid)
+        image, image_field = mesh, field
+        if np.linalg.norm(v) != 0.0:
+            image = dilate_mesh(mesh, v)
+            image_field = model.field(image.vertices)
+        curve = parallel_area_curve(image, image_field, t_grid)
         i = int(np.argmax(curve.areas))
         if curve.areas[i] > best[0]:
             best = (float(curve.areas[i]), v, float(t_grid[i]))

@@ -158,34 +158,17 @@ def _tangent_pair(normals):
 
 def _tangent_bases(points):
     """Orthonormal bases (n, 3, 4) of the tangent spaces p-perp of unit
-    points p (n, 4) of S^3, by Gram-Schmidt over the three axes least
-    aligned with p, with det[p; basis] < 0 at every point. This is the one
-    frame of p-perp in the package: the curvature charts, the stereographic
-    charts and the geodesic spheres all use it, so all share its handedness."""
-    n = len(points)
-    order = np.argsort(np.abs(points), axis=1, kind="stable")
-    basis = np.zeros((n, 3, 4))
-    for k in range(3):
-        cand = np.zeros((n, 4))
-        cand[np.arange(n), order[:, k]] = 1.0
-        cand -= np.einsum("ij,ij->i", cand, points)[:, None] * points
-        for prev in range(k):
-            b = basis[:, prev, :]
-            cand -= np.einsum("ij,ij->i", cand, b)[:, None] * b
-        norms = np.linalg.norm(cand, axis=1)
-        if np.any(norms < 1e-8):
-            raise MeshQualityError("degenerate tangent basis on S3")
-        basis[:, k, :] = cand / norms[:, None]
-    # one handedness at every point, otherwise winding normals computed
-    # inside the charts flip sign from vertex to vertex. Gram-Schmidt only
-    # adds multiples of earlier rows and scales by positive factors, so
-    # det[p; basis] has the sign of det[p; e_o0; e_o1; e_o2], which is
-    # -sgn(order) * sgn(p[o3]) for the last axis o3 of the row's order
-    odd = sum(order[:, i] > order[:, j]
-              for i in range(4) for j in range(i + 1, 4)) % 2 == 1
-    flip = (points[np.arange(n), order[:, 3]] > 0.0) == odd
-    basis[flip, 2, :] = -basis[flip, 2, :]
-    return basis
+    points p (n, 4) of S^3: the right multiples q i, q j, q k of the unit
+    quaternion q = p3 + p0 i + p1 j + p2 k, in coordinates (i, j, k, 1).
+    Left multiplication by q is a rotation of R^4 taking the frame
+    [1; i; j; k] of the pole (0, 0, 0, 1) to [p; basis], so det[p; basis]
+    is that frame's -1 at every point, and the basis is linear, hence
+    continuous, in p. This is the one frame of p-perp in the package: the
+    curvature charts, the stereographic charts and the geodesic spheres all
+    use it, so all share its handedness."""
+    x, y, z, w = points.T
+    return np.stack([w, z, -y, -x, -z, w, x, -y, y, -x, w, -z],
+                    axis=1).reshape(len(points), 3, 4)
 
 
 def _s3_log(base_pts, nbr_pts):
@@ -263,14 +246,19 @@ def _fan_sums(local, diff, fan):
     return frame_n, area.sum(axis=1) / 3.0, (area, frame_n, norms)
 
 
+def _scatter(at, values, size):
+    """Sums (size, d) of the rows of values (len(at), d) at the indices at,
+    one bincount per column."""
+    return np.stack([np.bincount(at, weights=values[:, k], minlength=size)
+                     for k in range(values.shape[1])], axis=1)
+
+
 def _slot_sums(values, fan, width):
     """Sums (R, width, d) over the fan corners (R, f, 2, d) of each
     two-ring slot the corners read."""
     rows = len(fan)
     flat = (np.arange(rows)[:, None, None] * width + fan).ravel()
-    values = values.reshape(len(flat), -1)
-    return np.stack([np.bincount(flat, weights=values[:, k], minlength=rows * width)
-                     for k in range(values.shape[1])], axis=1).reshape(rows, width, -1)
+    return _scatter(flat, values.reshape(len(flat), -1), rows * width).reshape(rows, width, -1)
 
 
 def _fan_sums_grad(local, diff, fan, tape, g_n, g_weight):
@@ -512,10 +500,8 @@ class _LocalEnergyModel:
                                         g_local + g_fan, g_diff)
             # a padded slot is a constant zero of the chart: its design row
             # is zero and no fan entry reads it, so it adds exactly zero
-            at = np.concatenate([rows, nbr.ravel()])
-            values = np.concatenate([g_base, g_nbr.reshape(-1, dim)])
-            for k in range(dim):
-                grad[:, k] += np.bincount(at, weights=values[:, k], minlength=n)
+            grad += _scatter(np.concatenate([rows, nbr.ravel()]),
+                             np.concatenate([g_base, g_nbr.reshape(-1, dim)]), n)
         if self.ambient == "S3":
             grad -= np.einsum("vd,vd->v", grad, positions)[:, None] * positions
         return grad

@@ -133,10 +133,9 @@ def willmore_descent(mesh, steps=20, move_scale=0.02):
         if model.ambient == "S3":
             pos = pos / np.linalg.norm(pos, axis=1)[:, None]
         energies.append(e)
-    out = mesh.with_vertices(
-        pos / np.linalg.norm(pos, axis=1)[:, None] if model.ambient == "S3" else pos)
-    return out, DescentTrace(energies=energies, gradient_norms=gnorms,
-                             status=status)
+    # pos is the input or the once-normalised point that evaluate scored
+    trace = DescentTrace(energies=energies, gradient_norms=gnorms, status=status)
+    return mesh.with_vertices(pos), trace
 
 
 def mobius_gradient(link):

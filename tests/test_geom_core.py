@@ -484,16 +484,50 @@ def _s3_point_sets():
 @pytest.mark.parametrize("build", [*_s3_point_sets(), pytest.param(
     lambda: np.vstack([_POLE_CANDIDATES, [0.6, 0.0, -0.8, 0.0]]), id="poles")])
 def test_tangent_bases_share_the_determinant_handedness(build):
-    # the flip is read from the axis order and the sign of the largest
-    # coordinate; every frame [p; basis] must come out with det < 0, both
-    # in the curvature charts' batches and in the one-point frames of the
-    # stereographic charts and the geodesic sphere centers
+    # [p; basis] is the rotation by the unit quaternion of p applied to
+    # the pole's frame, so it is orthonormal with det = -1 at every point,
+    # both in the curvature charts' batches and in the one-point frames of
+    # the stereographic charts and the geodesic sphere centers
     verts = build()
     basis = _tangent_bases(verts)
     frames = np.concatenate([verts[:, None, :], basis], axis=1)
-    assert np.all(np.linalg.det(frames) < 0.0)
+    assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(4)).max() < 1e-14
+    assert np.abs(np.linalg.det(frames) + 1.0).max() < 1e-12
     for p, batch in zip(verts[:16], basis):
         assert np.array_equal(_tangent_bases(p[None])[0], batch)
+
+
+def test_the_pole_frame_is_the_first_three_axes():
+    # so the chart from (0, 0, 0, 1) rescales the first three coordinates
+    assert np.array_equal(_tangent_bases(np.array([[0.0, 0.0, 0.0, 1.0]]))[0],
+                          np.eye(4)[:3])
+
+
+def _poles_across_a_tie(eps=1e-9):
+    """Two unit points eps apart on either side of |p0| = |p1|."""
+    tie = np.array([0.3, 0.3, 0.5, 0.7]) / np.sqrt(0.92)
+    step = np.array([1.0, -1.0, 0.0, 0.0]) * eps / np.sqrt(2.0)
+    points = [tie - 0.5 * step, tie + 0.5 * step]
+    return [p / np.linalg.norm(p) for p in points]
+
+
+def test_geodesic_spheres_move_continuously_with_their_center():
+    # the frame is linear in the center, so no coordinate tie makes the
+    # sphere's vertices jump
+    below, above = (make_shape("geodesic_sphere", resolution=8, center=c,
+                               radius=1.0).vertices for c in _poles_across_a_tie())
+    assert np.abs(below - above).max() < 1e-8
+
+
+def test_stereographic_charts_move_continuously_with_their_pole():
+    raw = np.random.default_rng(7).standard_normal((200, 4))
+    pts = raw / np.linalg.norm(raw, axis=1)[:, None]
+    below, above = _poles_across_a_tie()
+    pts = pts[pts @ below < 0.5]
+    assert np.abs(stereographic(pts, below) - stereographic(pts, above)).max() < 1e-8
+    flat = stereographic(pts, below)
+    assert np.abs(stereographic_inverse(flat, below)
+                  - stereographic_inverse(flat, above)).max() < 1e-8
 
 
 def test_geodesic_spheres_wind_away_from_every_center():

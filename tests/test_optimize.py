@@ -314,9 +314,20 @@ def test_willmore_descent_decreases_energy():
 def test_descent_detects_stationarity(monkeypatch):
     monkeypatch.setattr(cel.optimize, "_GRAD_TOL", 1e9)
     mesh = make_shape("clifford_torus", resolution=12)
-    _, trace = willmore_descent(mesh, steps=3)
+    final, trace = willmore_descent(mesh, steps=3)
     assert trace.status == "stationary"
     assert len(trace.energies) == 1
+    # no step was accepted, so the input comes back untouched
+    assert np.array_equal(final.vertices, mesh.vertices)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_descent_returns_the_mesh_its_trace_ends_on(steps):
+    mesh = perturb_mesh(make_shape("geodesic_sphere", center=(1, 0, 0, 0),
+                                   radius=1.0, resolution=16), 0.06, seed=11)
+    final, trace = willmore_descent(mesh, steps=steps)
+    assert len(trace.energies) == steps + 1
+    assert willmore_energy(final, error_estimate=False).value == trace.energies[-1]
 
 
 def test_mobius_descent_decreases_energy():
