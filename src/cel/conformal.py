@@ -1,12 +1,12 @@
 """Conformal maps of the three-sphere and of R^4.
 
-A dilation of S^3 centered at a unit direction is built by conjugating a
-linear scaling of R^3 with stereographic projection: project from the
-antipode, scale by (1+|v|)/(1-|v|), map back. It fixes the two poles, is the
-identity at v = 0, and pushes everything toward the center direction as |v|
-approaches one. The scale profile in |v| is this artifact's normalization;
-any increasing profile with value 1 at 0 and a blow-up at 1 describes the
-same family of maps.
+A dilation of S^3 centered at a unit direction is a linear scaling of R^3
+conjugated with stereographic projection: project from the antipode, scale
+by (1+|v|)/(1-|v|), map back, written as one closed form. It fixes the two
+poles, is the identity at v = 0, and pushes everything toward the center
+direction as |v| approaches one. The scale profile in |v| is this
+artifact's normalization; any increasing profile with value 1 at 0 and a
+blow-up at 1 describes the same family of maps.
 
 The R^4 inversion x -> (x - v)/|x - v|^2 sends the unit sphere to a round
 sphere centered at v/(1 - |v|^2); that center is what the scaled two-curve
@@ -23,7 +23,7 @@ from .energies import _willmore_report, gauss_map_torus
 from .errors import (DegenerateInputError, GeometryError, InputError,
                      NearPoleError, ParameterError)
 from .mesh import PolyLink, TriMesh
-from .projection import _rows, stereographic, stereographic_inverse
+from .projection import _check_on_sphere, _rows
 
 
 def _ball_point(v, what):
@@ -77,32 +77,24 @@ class RadialLimitReport(NamedTuple):
 def apply_dilation(dilation, points):
     """Apply a three-sphere dilation to (n, 4) unit points of R^4.
 
-    The exact pole -v/|v| is a fixed point and maps to itself; anything else
-    inside the 1e-9 ball around it is numerically unreliable in the chart
-    and raises NearPoleError. Output is renormalized to unit length.
+    Projecting from the pole P = -v/|v|, scaling by lam and projecting back
+    is, with a = <x, P>, the closed form
+    x -> (2 lam (x - a P) + (lam^2 (1 + a) - (1 - a)) P) / (lam^2 (1 + a) + 1 - a).
+    Its denominator is at least 2 (lam >= 1), so it needs no chart and no
+    care near the pole, which it fixes. Output is renormalized to unit
+    length.
     """
     if not isinstance(dilation, ConformalDilation):
         dilation = ConformalDilation(np.asarray(dilation, dtype=np.float64))
     pts = _rows(points, 4)
     if dilation.strength == 0.0:
         return pts / np.linalg.norm(pts, axis=1)[:, None]
-
-    center = dilation.v / dilation.strength
-    pole = -center
-    dist = np.linalg.norm(pts - pole, axis=1)
-    at_pole = dist < 1e-12
-    near = (dist < 1e-9) & ~at_pole
-    if near.any():
-        raise NearPoleError("point within 1e-9 of the dilation pole; "
-                            "the chart cannot resolve it")
-
-    out = np.empty_like(pts)
-    out[at_pole] = pole
-    free = ~at_pole
-    if free.any():
-        chart = stereographic(pts[free], pole)
-        out[free] = stereographic_inverse(dilation.scale * chart, pole)
-    return out
+    _check_on_sphere(pts)
+    pole, lam = -dilation.v / dilation.strength, dilation.scale
+    a = (pts @ pole)[:, None]
+    up, down = lam * lam * (1.0 + a), 1.0 - a
+    out = (2.0 * lam * (pts - a * pole) + (up - down) * pole) / (up + down)
+    return out / np.linalg.norm(out, axis=1)[:, None]
 
 
 def dilate_mesh(mesh, v):

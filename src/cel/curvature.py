@@ -19,11 +19,12 @@ A stencil row holds the chart coordinates of its base vertex's two-ring in a
 are padded with the base vertex itself, and the padded slots are set to
 exactly zero, so they add nothing to the normal equations. Each vertex's fan
 of incident faces is kept as pairs of slots in its two-ring row, so the
-frame normal (summed winding cross products) and the barycentric area weight
-are read from the same coordinates; a padded fan entry names one slot twice,
-a triangle with zero cross product and zero area. Every row pays the width
-of the largest two-ring, which is cheap on the near-regular meshes the
-generators make (valence 5 to 7).
+frame normal (summed winding cross products) is read from the same chart
+coordinates; a padded fan entry names one slot twice, a triangle with zero
+cross product. The stencil pass is chart, fan normal, fit; the area weights
+are per face, a third of each face to its corners (`mesh._vertex_areas`,
+the lumped mass). Every row pays the width of the largest two-ring, which
+is cheap on the near-regular meshes the generators make (valence 5 to 7).
 
 `_LocalEnergyModel` holds the stencils of one connectivity. Its `field` is
 the full-mesh estimate, fitted in blocks of `_FIT_ROWS` vertices at the
@@ -38,11 +39,12 @@ The gradient is reverse-mode differentiation of the same forward pass, in
 blocks of `_GRAD_ROWS` stencil rows. Each kernel has its reverse next to
 it: `_quadric_fit_grad` takes the derivative of the least-squares solution
 with one more solve against the same normal matrix, `_fan_sums_grad` goes
-back through the unit fan normal and the barycentric areas, and
-`_chart_grad` through the chart. Each row's derivatives are then added to
-the vertices of its two-ring. Where the forward pass takes a square root
-of zero (a padded slot, a padded fan entry, a triangle of zero area) the
-reverse pass takes the derivative as zero. On the three-sphere the result
+back through the unit fan normal, and `_chart_grad` through the chart. Each
+row's derivatives are then added to the vertices of its two-ring. The
+weights' derivative is added once per face by `_vertex_areas_grad`, driven
+by each vertex's density at unit weight. Where the forward pass takes a
+square root of zero (a padded slot, a face of zero area) the reverse pass
+takes the derivative as zero. On the three-sphere the result
 is projected onto each vertex's tangent space, so radial gradient
 components vanish and the descent needs no tangency constraint.
 
@@ -56,13 +58,14 @@ import numpy as np
 
 from ._accum import stable_sum
 from .errors import MeshQualityError
-from .mesh import _adjacency, _flat_area
+from .mesh import _adjacency, _flat_area, _vertex_areas
 
 
 @dataclass
 class CurvatureField:
     """Per-vertex principal curvatures k1 >= k2, unit normals, and
-    barycentric dual-cell area weights (one third of each incident face)."""
+    barycentric dual-cell area weights (one third of each incident face),
+    equal to `lumped_mass(mesh).diagonal()` bit for bit."""
 
     k1: np.ndarray
     k2: np.ndarray
@@ -185,20 +188,17 @@ def _s3_log(base_pts, nbr_pts):
 
 def _chart(base, pts, basis):
     """Chart coordinates (R, S, 3) of the points pts (R, S, d) around the
-    base points base (R, d), and their plain differences (R, S, d). In R^3
-    the two are one array; on S^3 the chart is the inverse exponential map
-    written in each row's tangent basis (R, 3, 4)."""
-    diff = pts - base[:, None, :]
+    base points base (R, d): their plain differences in R^3; on S^3 the
+    inverse exponential map written in each row's tangent basis (R, 3, 4)."""
     if basis is None:
-        return diff, diff
+        return pts - base[:, None, :]
     _, u, _, scale = _s3_log(base[:, None, :], pts)
-    return (u * scale[..., None]) @ basis.transpose(0, 2, 1), diff
+    return (u * scale[..., None]) @ basis.transpose(0, 2, 1)
 
 
-def _chart_grad(base, pts, basis, g_local, g_diff):
-    """Pull derivatives along the chart coordinates (R, S, 3) and the plain
-    differences (R, S, d) of `_chart` back to base (R, d) and pts (R, S, d);
-    in R^3 the two are one and g_diff is None.
+def _chart_grad(base, pts, basis, g_local):
+    """Pull derivatives along the chart coordinates (R, S, 3) of `_chart`
+    back to base (R, d) and pts (R, S, d).
 
     On S^3 the tangent basis adds nothing: the density is invariant under
     rotating it, and log_p q is orthogonal to p, so the part of the basis'
@@ -212,8 +212,8 @@ def _chart_grad(base, pts, basis, g_local, g_diff):
     near = un > 1e-14
     along = np.where(near, (dots * f - 1.0) / np.where(near, un * un, 1.0), 0.0)
     along *= np.einsum("...d,...d->...", g_log, u)
-    g_pts = along[..., None] * p + f[..., None] * g_log + g_diff
-    g_base = along[..., None] * pts - (f * dots)[..., None] * g_log - g_diff
+    g_pts = along[..., None] * p + f[..., None] * g_log
+    g_base = along[..., None] * pts - (f * dots)[..., None] * g_log
     return g_base.sum(axis=1), g_pts
 
 
@@ -226,24 +226,16 @@ def _corners(arr, fan):
     return pair[:, :, 0], pair[:, :, 1]
 
 
-def _fan_sums(local, diff, fan):
-    """Unit frame normals and barycentric area weights of stencil rows.
-
-    Each fan triangle is read from its two corners' two-ring slots: the
-    winding cross product in chart coordinates gives the normal, the
-    ambient differences give the flat area. The third value is the tape
-    `_fan_sums_grad` reads."""
-    u, w = _corners(local, fan)
-    cross = _cross(u, w)
-    if diff is not local:
-        u, w = _corners(diff, fan)
-    area = _flat_area(u, w)
-    acc = cross.sum(axis=1)
+def _fan_sums(local, fan):
+    """Unit frame normals (R, 3) of stencil rows, and their lengths before
+    normalizing, the tape `_fan_sums_grad` reads: the sums of the winding
+    cross products of each fan triangle, read in chart coordinates from its
+    two corners' two-ring slots."""
+    acc = _cross(*_corners(local, fan)).sum(axis=1)
     norms = np.linalg.norm(acc, axis=1)
     if np.any(norms < 1e-300):
         raise MeshQualityError("normal accumulation vanished")
-    frame_n = acc / norms[:, None]
-    return frame_n, area.sum(axis=1) / 3.0, (area, frame_n, norms)
+    return acc / norms[:, None], norms
 
 
 def _scatter(at, values, size):
@@ -261,30 +253,31 @@ def _slot_sums(values, fan, width):
     return _scatter(flat, values.reshape(len(flat), -1), rows * width).reshape(rows, width, -1)
 
 
-def _fan_sums_grad(local, diff, fan, tape, g_n, g_weight):
+def _fan_sums_grad(local, fan, frame_n, norms, g_n):
     """Pull the energy's derivatives along the frame normals g_n (R, 3)
-    and the weights g_weight (R,) back through `_fan_sums`: returns the
-    derivatives along local and diff, one array when the two are one. A
-    triangle of zero area (a padded fan entry among them) takes the
-    derivative of its area as 0: sqrt has none at 0."""
-    area, frame_n, norms = tape
-    width = local.shape[1]
+    back through `_fan_sums` to local (R, m, 3)."""
     g_acc = g_n - np.einsum("rk,rk->r", g_n, frame_n)[:, None] * frame_n
     g_acc = (g_acc / norms[:, None])[:, None, :]
     u, w = _corners(local, fan)
-    g_local = np.stack([_cross(w, g_acc), _cross(g_acc, u)], axis=2)
+    return _slot_sums(np.stack([_cross(w, g_acc), _cross(g_acc, u)], axis=2),
+                      fan, local.shape[1])
+
+
+def _vertex_areas_grad(vertices, faces, g_weight):
+    """Pull the energy's derivatives g_weight (V,) along the vertex areas
+    of `mesh._vertex_areas` back to the vertices (V, d). A face of zero
+    area takes the derivative of its area as 0: sqrt has none at 0."""
+    a = vertices[faces[:, 0]]
+    u, w = vertices[faces[:, 1]] - a, vertices[faces[:, 2]] - a
+    area = _flat_area(u, w)
     # d area = (|w|^2 u - (u.w) w) . du / (4 area), and the same with u, w
-    # swapped; the weight is a third of the areas' sum
-    if diff is not local:
-        u, w = _corners(diff, fan)
-    uu, ww, uw = (np.einsum("...d,...d->...", a, b) for a, b in ((u, u), (w, w), (u, w)))
-    rate = np.divide(g_weight[:, None] / 12.0, area, out=np.zeros_like(area),
-                     where=area > 0.0)[..., None]
-    g_diff = np.stack([rate * (ww[..., None] * u - uw[..., None] * w),
-                       rate * (uu[..., None] * w - uw[..., None] * u)], axis=2)
-    if diff is local:
-        return _slot_sums(g_local + g_diff, fan, width), None
-    return _slot_sums(g_local, fan, width), _slot_sums(g_diff, fan, width)
+    # swapped; each vertex area is a third of its faces' areas
+    uu, ww, uw = (np.einsum("fd,fd->f", p, q) for p, q in ((u, u), (w, w), (u, w)))
+    rate = np.divide(g_weight[faces].sum(axis=1) / 12.0, area, out=np.zeros_like(area),
+                     where=area > 0.0)[:, None]
+    g_u = rate * (ww[:, None] * u - uw[:, None] * w)
+    g_w = rate * (uu[:, None] * w - uw[:, None] * u)
+    return _scatter(faces.T.ravel(), np.concatenate([-(g_u + g_w), g_u, g_w]), len(vertices))
 
 
 def _quadric_fit(local, frame_n, counts):
@@ -424,42 +417,34 @@ class _LocalEnergyModel:
     """
 
     def __init__(self, mesh):
-        self.ambient = mesh.ambient
+        self.ambient, self.faces = mesh.ambient, mesh.faces
         self.ring, self.counts, self.fan = _stencils(mesh)
-
-    def _bases(self, points):
-        """S^3 tangent bases at the points; None in R^3."""
-        return _tangent_bases(points) if self.ambient == "S3" else None
-
-    def _rows(self, positions, rows):
-        """S^3 tangent bases (None in R^3), chart coordinates and ambient
-        differences of the two-ring of each row in `rows`, padded slots
-        charted as exactly zero."""
-        nbr = self.ring[rows]
-        basis = self._bases(positions[rows])
-        local, diff = _chart(positions[rows], positions[nbr], basis)
-        local[nbr == rows[:, None]] = 0.0
-        return basis, local, diff
 
     def _forward(self, positions, rows):
         """Charts, fan sums and fits of the stencil rows `rows`, each as its
-        kernel returns it: the one forward pass of `field` and `gradient`."""
-        basis, local, diff = self._rows(positions, rows)
-        fan = _fan_sums(local, diff, self.fan[rows])
-        return (basis, local, diff), fan, _quadric_fit(local, fan[0], self.counts[rows])
+        kernel returns it: the one forward pass of `field` and `gradient`.
+        The S^3 tangent bases are None in R^3, and padded slots are charted
+        as exactly zero."""
+        nbr = self.ring[rows]
+        basis = _tangent_bases(positions[rows]) if self.ambient == "S3" else None
+        local = _chart(positions[rows], positions[nbr], basis)
+        local[nbr == rows[:, None]] = 0.0
+        fan = _fan_sums(local, self.fan[rows])
+        return (basis, local), fan, _quadric_fit(local, fan[0], self.counts[rows])
 
     def field(self, positions):
         """CurvatureField at the given positions."""
         n = len(positions)
         blocks = [self._field_rows(positions, np.arange(start, min(start + _FIT_ROWS, n)))
                   for start in range(0, n, _FIT_ROWS)]
-        k1, k2, normal, weight = map(np.concatenate, zip(*blocks))
-        return CurvatureField(k1=k1, k2=k2, normal=normal, weight=weight)
+        k1, k2, normal = map(np.concatenate, zip(*blocks))
+        return CurvatureField(k1=k1, k2=k2, normal=normal,
+                              weight=_vertex_areas(positions, self.faces))
 
     def _field_rows(self, positions, rows):
-        """k1, k2, unit normals and weights of the stencil rows `rows`; the
-        forward pass's tapes die with the call, not with the next block."""
-        (basis, _, _), (frame_n, weight, _), fit = self._forward(positions, rows)
+        """k1, k2 and unit normals of the stencil rows `rows`; the forward
+        pass's tapes die with the call, not with the next block."""
+        (basis, _), (frame_n, _), fit = self._forward(positions, rows)
         (a1, a2), (k1, k2), (e1, e2), _ = fit
         # refine the normal with the fitted gradient
         normal = frame_n - a1[:, None] * e1 - a2[:, None] * e2
@@ -467,7 +452,7 @@ class _LocalEnergyModel:
         if basis is not None:
             normal = np.einsum("vk,vkd->vd", normal, basis)
             normal /= np.linalg.norm(normal, axis=1)[:, None]
-        return k1, k2, normal, weight
+        return k1, k2, normal
 
     def energy(self, positions):
         """Total bending energy at the given positions."""
@@ -477,31 +462,37 @@ class _LocalEnergyModel:
         """Exact gradient of the total energy, (V, dim).
 
         Each block of `_GRAD_ROWS` stencil rows runs the forward pass and
-        then its reverse: the fit, the fan sums and the chart pulled back in
-        turn, and the rows' derivatives added to their vertices. On S^3
-        each vertex's gradient is projected onto its tangent space, which
-        makes it the derivative of the energy of the renormalized
-        positions that the descent evaluates."""
+        then its reverse: the fit, the fan normals and the chart pulled back
+        in turn, and the rows' derivatives added to the vertices of their
+        two-rings. The vertex areas are pulled back once, face by face,
+        after the last block. On S^3 each vertex's gradient is projected
+        onto its tangent space, which makes it the derivative of the energy
+        of the renormalized positions that the descent evaluates."""
         n, dim = positions.shape
         grad = np.zeros((n, dim))
+        weight = _vertex_areas(positions, self.faces)
+        g_weight = np.empty(n)
         for start in range(0, n, _GRAD_ROWS):
             rows = np.arange(start, min(start + _GRAD_ROWS, n))
             nbr = self.ring[rows]
-            (basis, local, diff), (_, weight, fan_tape), fit = self._forward(positions, rows)
+            (basis, local), (frame_n, norms), fit = self._forward(positions, rows)
             _, (k1, k2), _, fit_tape = fit
             # the density is H^2 w (plus w on S^3) with H = (k1 + k2) / 2,
             # so its derivatives are H w along k1 + k2 and its value at
             # w = 1 along w
             g_local, g_n = _quadric_fit_grad(local, self.counts[rows], fit_tape,
-                                             0.5 * (k1 + k2) * weight)
-            g_fan, g_diff = _fan_sums_grad(local, diff, self.fan[rows], fan_tape, g_n,
-                                           _bending_density(self.ambient, k1, k2, 1.0))
-            g_base, g_nbr = _chart_grad(positions[rows], positions[nbr], basis,
-                                        g_local + g_fan, g_diff)
+                                             0.5 * (k1 + k2) * weight[rows])
+            g_local += _fan_sums_grad(local, self.fan[rows], frame_n, norms, g_n)
+            g_weight[rows] = _bending_density(self.ambient, k1, k2, 1.0)
+            g_base, g_nbr = _chart_grad(positions[rows], positions[nbr], basis, g_local)
             # a padded slot is a constant zero of the chart: its design row
-            # is zero and no fan entry reads it, so it adds exactly zero
-            grad += _scatter(np.concatenate([rows, nbr.ravel()]),
-                             np.concatenate([g_base, g_nbr.reshape(-1, dim)]), n)
+            # is zero and no fan entry reads it, so it adds exactly zero.
+            # The block's vertices are counted compactly: a full-length
+            # count per block would cost O(V^2 / _GRAD_ROWS) in all
+            uniq, at = np.unique(np.concatenate([rows, nbr.ravel()]), return_inverse=True)
+            grad[uniq] += _scatter(at, np.concatenate([g_base, g_nbr.reshape(-1, dim)]),
+                                   len(uniq))
+        grad += _vertex_areas_grad(positions, self.faces, g_weight)
         if self.ambient == "S3":
             grad -= np.einsum("vd,vd->v", grad, positions)[:, None] * positions
         return grad

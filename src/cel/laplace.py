@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
+from .mesh import _vertex_areas
 
 
 def cotan_stiffness(mesh):
@@ -37,9 +38,7 @@ def cotan_stiffness(mesh):
 
 def lumped_mass(mesh):
     """Diagonal barycentric mass: one third of incident face area."""
-    areas = mesh.face_areas() / 3.0
-    return sp.diags(np.bincount(mesh.faces.T.ravel(), np.tile(areas, 3),
-                                minlength=mesh.vertex_count))
+    return sp.diags(_vertex_areas(mesh.vertices, mesh.faces))
 
 
 def _eigsh(operator, mass, k, sigma, vectors):

@@ -34,6 +34,14 @@ def _flat_area(u, w):
     return 0.5 * np.sqrt(np.maximum(uu * ww - uw * uw, 0.0))
 
 
+def _vertex_areas(vertices, faces):
+    """Barycentric vertex areas, a third of each incident face's flat area:
+    the one area element of the curvature weights and the lumped mass."""
+    a = vertices[faces[:, 0]]
+    areas = _flat_area(vertices[faces[:, 1]] - a, vertices[faces[:, 2]] - a) / 3.0
+    return np.bincount(faces.T.ravel(), np.tile(areas, 3), minlength=len(vertices))
+
+
 def _adjacency(faces, n):
     """Sparse (n, n) int64 vertex adjacency; entry (a, b) counts the faces
     that have the edge a-b."""

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .curvature import estimate_curvatures
 from .errors import NotMinimalError, ParameterError
-from .laplace import _eigsh, cotan_stiffness, lumped_mass
+from .laplace import _eigsh, cotan_stiffness
 
 
 class IndexReport(NamedTuple):
@@ -96,10 +96,9 @@ def jacobi_index_numeric(mesh):
 
     potential = field.k1 ** 2 + field.k2 ** 2 + 2.0
     pot_max = float(potential.max())
-    stiffness = cotan_stiffness(mesh)
-    mass = lumped_mass(mesh)
-    weighted = sp.diags(mass.diagonal() * potential)
-    operator = (stiffness - weighted).tocsc()
+    # the curvature weights are the lumped mass, bit for bit
+    mass = sp.diags(field.weight)
+    operator = (cotan_stiffness(mesh) - sp.diags(field.weight * potential)).tocsc()
     sigma = -0.5 * pot_max
 
     n = mesh.vertex_count

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cel
+import cel.cli
 from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
                  ParameterError, PolyLink, TriMesh, euler_genus, load_link,
                  load_obj, make_shape, save_link, save_obj)
@@ -20,6 +21,7 @@ from cel.curvature import _tangent_bases
 from cel.energies import _POLE_CANDIDATES, gauss_map_torus
 from cel.fixtures import ellipsoid_s3, genus2_surface, perturb_mesh
 from cel.mesh import _pair_tiles, _segments
+from cel.optimize import willmore_gradient
 from cel.projection import stereographic, stereographic_inverse
 from cel.shapes import _grid_torus_faces, _icosahedron, _icosphere
 
@@ -459,10 +461,12 @@ def test_parallel_area_curve_memory_is_bounded():
 @pytest.mark.parametrize("build", _block_meshes())
 def test_curvature_weights_sum_to_the_mesh_area(build):
     # the barycentric weights split every face area in thirds, so their
-    # total is the mesh area up to round-off (equal on all 17 meshes here)
+    # total is the mesh area up to round-off (equal on all 17 meshes here),
+    # and they are the lumped mass, read from the same area element
     mesh = build()
-    total = stable_sum(cel.estimate_curvatures(mesh).weight)
-    assert total == pytest.approx(mesh.area(), rel=1e-12, abs=0.0)
+    weight = cel.estimate_curvatures(mesh).weight
+    assert stable_sum(weight) == pytest.approx(mesh.area(), rel=1e-12, abs=0.0)
+    assert weight.tobytes() == cel.lumped_mass(mesh).diagonal().tobytes()
 
 
 def _s3_point_sets():
@@ -557,6 +561,29 @@ def test_faceless_mesh_raises_a_typed_error():
                cel.willmore_relative_gradient):
         with pytest.raises(MeshQualityError, match="mesh has no faces"):
             fn(mesh)
+
+
+def _octahedron():
+    """The regular octahedron, wound outward: every two-ring has 5 points."""
+    verts = np.vstack([np.eye(3), -np.eye(3)])
+    faces = [[a, b, c] for a in (0, 3) for b in (1, 4) for c in (2, 5)]
+    faces = [f if _signed_volume(verts, np.array([f])) > 0 else f[::-1] for f in faces]
+    return TriMesh(verts, np.array(faces)).validate()
+
+
+def test_too_small_fit_neighborhoods_raise_a_typed_error(tmp_path, capsys):
+    # a quadric fit with cubic columns needs 9 points; the octahedron's
+    # two-rings have 5
+    mesh = _octahedron()
+    for fn in (cel.estimate_curvatures, cel.willmore_energy,
+               willmore_gradient):
+        with pytest.raises(MeshQualityError, match="a fit neighborhood has too few points"):
+            fn(mesh)
+    path = str(tmp_path / "octahedron.obj")
+    save_obj(mesh, path)
+    assert cel.cli.main(["energy", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a fit neighborhood has too few points" in err
 
 
 @settings(deadline=None, max_examples=60)

@@ -15,6 +15,7 @@ from cel._accum import stable_sum
 from cel.curvature import _bending_density, _LocalEnergyModel, _stencils
 from cel.energies import _far_pole, _cross_energy_sum
 from cel.fixtures import ellipsoid_s3, perturb_link, perturb_mesh
+from cel.mesh import _vertex_areas
 from cel.optimize import mobius_gradient, willmore_gradient
 from cel.projection import project_link
 
@@ -104,10 +105,9 @@ def test_grouped_gradient_matches_brute_force_on_icospheres(kind, kw):
 
 def _local_terms(model, positions):
     """The energy density of every stencil row, read from the forward pass
-    the gradient differentiates."""
-    _, (_, weight, _), (_, (k1, k2), _, _) = model._forward(
-        positions, np.arange(len(positions)))
-    return _bending_density(model.ambient, k1, k2, weight)
+    and the vertex areas the gradient differentiates."""
+    _, _, (_, (k1, k2), _, _) = model._forward(positions, np.arange(len(positions)))
+    return _bending_density(model.ambient, k1, k2, _vertex_areas(positions, model.faces))
 
 
 @pytest.mark.parametrize("kind", ["tube_torus", "sphere", "clifford_torus"])
