@@ -9,15 +9,16 @@ compensated summation so the reported values do not depend on evaluation
 order.
 
 The link sums run in one tiled pass over midpoint pairs (mesh._pair_tiles):
-each tile of about 2^16 pairs is reduced as it is made (into one math.fsum,
-or into whole-row np.sum for the gradient's row sums), so peak memory is
-one tile, not n^2 pairs, and the values equal those of the full broadcast
-bit for bit. A tile holds one contiguous (rows, m) difference array per
-coordinate, and its squared distances add the squared coordinates in the
-order 0, 1, ..., d - 1, the order of np.sum over a coordinate axis. The
-linking number builds its triple product from the cross components in
-np.cross's own formula and sums them left to right, so no np.cross or
-short-axis sum runs over the pairs and no rounding changes.
+each tile of about 2^16 pairs is reduced as it is made (to a few parts
+whose exact sum is the tile's, _accum._exact_parts, all added by one
+math.fsum; or into whole-row np.sum for the gradient's row sums), so peak
+memory is one tile, not n^2 pairs, and the values equal those of the full
+broadcast bit for bit. A tile holds one contiguous (rows, m) difference
+array per coordinate, and its squared distances add the squared
+coordinates in the order 0, 1, ..., d - 1, the order of np.sum over a
+coordinate axis. The linking number builds its triple product from the
+cross components in np.cross's own formula and sums them left to right, so
+no np.cross or short-axis sum runs over the pairs and no rounding changes.
 
 Error estimates are Richardson style: the same quantity is recomputed at
 half resolution and the gap, scaled for a second-order method, becomes the
@@ -32,6 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._accum import _fsum_terms
 from .curvature import _field_energy, estimate_curvatures
 from .errors import InputError, ResolutionError, ResolutionWarning
 from .mesh import TriMesh, _pair_tiles, _segments
@@ -113,7 +115,7 @@ def _cross_energy_sum(g1, g2, near=None):
         for rows, _, d2 in _pair_tiles(m1, m2):
             if near is not None:
                 near.append(bool((d2 < np.maximum(reach1[rows, None], reach2)).any()))
-            yield ((len1[rows, None] * len2) / d2).ravel().tolist()
+            yield _fsum_terms(((len1[rows, None] * len2) / d2).ravel())
 
     return math.fsum(itertools.chain.from_iterable(tiles()))
 
@@ -178,7 +180,7 @@ def linking_number(link):
             det = (a1 * b2 - a2 * b1) * x
             det += (a2 * b0 - a0 * b2) * y
             det += (a0 * b1 - a1 * b0) * z
-            yield (det / d2 ** 1.5).ravel().tolist()
+            yield _fsum_terms((det / d2 ** 1.5).ravel())
 
     raw = math.fsum(itertools.chain.from_iterable(tiles())) / (4.0 * np.pi)
     value = int(round(raw))

@@ -183,9 +183,9 @@ def _pair_tiles(p, q):
     diff[k] = p[rows, k, None] - q.T[k]. `d2` adds the squared coordinates
     in the order 0, 1, ..., d - 1, the order in which np.sum(..., axis=-1)
     reduces a short last axis. Entries therefore equal those of the full
-    interleaved broadcast bit for bit, so exact (min, fsum) and per-row
-    reductions do not depend on the tiling, and memory is one tile instead
-    of n * m pairs."""
+    interleaved broadcast bit for bit, so exact reductions (min, and the
+    exact parts of _accum._exact_parts) and per-row reductions do not
+    depend on the tiling, and memory is one tile instead of n * m pairs."""
     qt = np.ascontiguousarray(q.T)
     step = max(1, _TILE_PAIRS // len(q))
     for start in range(0, len(p), step):

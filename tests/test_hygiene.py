@@ -60,6 +60,7 @@ ONE_HOME = [
     ("eigsh", {"laplace"}, _referenced),             # laplace._eigsh
     ("_pair_tiles", {"mesh", "energies"}, _referenced),
     ("csr_matrix", {"mesh", "laplace"}, _called),    # adjacency, stiffness
+    ("fsum", {"_accum", "energies"}, _called),       # exact sums, link tiles
 ]
 
 
