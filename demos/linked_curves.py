@@ -10,15 +10,12 @@ import numpy as np
 
 from cel import (energy_linking_bound_check, gauss_area_energy_check,
                  gauss_map_torus, linking_number, make_shape, mobius_energy)
-from cel.energies import _far_pole
 from cel.fixtures import perturb_link
-from cel.projection import project_link
 
 
 def describe(label, link):
     rep = mobius_energy(link)
-    flat = project_link(link, _far_pole(link)) if link.dim == 4 else link
-    lk = linking_number(flat)
+    lk = linking_number(link)
     bound = energy_linking_bound_check(link)
     print(f"{label:>24}  E={rep.value:9.4f}  lk={lk.value:+d}  "
           f"4pi|lk|={bound.bound:8.4f}  margin={bound.margin:8.4f}")

@@ -59,19 +59,14 @@ def stable_sum(values):
     return math.fsum(_fsum_terms(arr) if len(arr) >= _EXACT_MIN else arr.tolist())
 
 
-def unit_directions(count, dim, seed, antipodal=False):
+def unit_directions(count, dim, seed):
     """Draw `count` unit vectors in R^dim from a fixed-seed generator.
 
-    With antipodal=True the sign is canonicalized (first nonzero entry
-    positive) so v and -v are the same sample, matching a projective
-    parameter space.
+    No sign is canonicalized: a projective family's member d and -d have
+    the same zero set, cut at the same crossing fractions bit for bit, so a
+    sampled sup does not see the sign.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, dim))
     x /= np.linalg.norm(x, axis=1)[:, None]
-    if antipodal:
-        first = np.argmax(np.abs(x) > 1e-14, axis=1)
-        signs = np.sign(x[np.arange(len(x)), first])
-        signs[signs == 0] = 1.0
-        x *= signs[:, None]
     return x

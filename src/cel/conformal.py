@@ -75,7 +75,7 @@ class RadialLimitReport(NamedTuple):
 
 
 def apply_dilation(dilation, points):
-    """Apply a three-sphere dilation to (n, 4) unit points of R^4.
+    """Apply a ConformalDilation to (n, 4) unit points of R^4.
 
     Projecting from the pole P = -v/|v|, scaling by lam and projecting back
     is, with a = <x, P>, the closed form
@@ -84,8 +84,6 @@ def apply_dilation(dilation, points):
     care near the pole, which it fixes. Output is renormalized to unit
     length.
     """
-    if not isinstance(dilation, ConformalDilation):
-        dilation = ConformalDilation(np.asarray(dilation, dtype=np.float64))
     pts = _rows(points, 4)
     if dilation.strength == 0.0:
         return pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -101,8 +99,7 @@ def dilate_mesh(mesh, v):
     """Conformal image of an S3 mesh; a pointwise map, faces unchanged."""
     if mesh.ambient != "S3":
         raise InputError("dilations act on S3 meshes")
-    return TriMesh(apply_dilation(ConformalDilation(np.asarray(v, dtype=np.float64)),
-                                  mesh.vertices),
+    return TriMesh(apply_dilation(ConformalDilation(v), mesh.vertices),
                    mesh.faces.copy(), ambient="S3")
 
 
@@ -120,14 +117,12 @@ def dilate_link(link, v):
     """Conformal image of an R^4 link on the three-sphere."""
     if not link.on_sphere():
         raise InputError("dilations act on links lying on S^3")
-    d = ConformalDilation(np.asarray(v, dtype=np.float64))
+    d = ConformalDilation(v)
     return PolyLink(apply_dilation(d, link.gamma1), apply_dilation(d, link.gamma2))
 
 
 def apply_inversion(inversion, points):
-    """Apply x -> (x - v)/|x - v|^2 to (n, 4) points of R^4."""
-    if not isinstance(inversion, InversionR4):
-        inversion = InversionR4(np.asarray(inversion, dtype=np.float64))
+    """Apply the InversionR4 x -> (x - v)/|x - v|^2 to (n, 4) points of R^4."""
     diff = _rows(points, 4) - inversion.v
     d2 = np.sum(diff**2, axis=1)
     if d2.min() < 1e-24:
@@ -191,24 +186,19 @@ def _geodesic_midpoints(a, b):
     return mid / norms[:, None], norms
 
 
-def _dense_image_samples(mesh, map_fn, pole, target):
+def _dense_image_samples(mesh, map_fn, target):
     """Map mesh vertices, bisecting source edges whose image spans more than
     `target`, until the image is sampled at roughly uniform density.
 
-    Returns image points. Sample points landing within 1e-8 of the map's
-    pole are dropped; the pole is a fixed point on the tangent great sphere,
-    so it cannot carry the maximum distance.
+    Returns the image points. map_fn sees each sample point once: the
+    vertices first, then each round's new midpoints.
     """
-    pts = mesh.vertices.copy()
+    pts = mesh.vertices
     segs = mesh.edges()
-    keep = np.linalg.norm(pts - pole, axis=1) > 1e-8
-    img = map_fn(pts[keep])
+    img = map_fn(pts)
     for _ in range(40):
-        full = np.zeros_like(pts)
-        full[keep] = img
-        usable = keep[segs[:, 0]] & keep[segs[:, 1]]
-        span = np.linalg.norm(full[segs[:, 0]] - full[segs[:, 1]], axis=1)
-        hot = usable & (span > target)
+        span = np.linalg.norm(img[segs[:, 0]] - img[segs[:, 1]], axis=1)
+        hot = span > target
         if not hot.any() or len(pts) >= _MAX_IMAGE_SAMPLES:
             break
         mids, chord = _geodesic_midpoints(pts[segs[hot, 0]], pts[segs[hot, 1]])
@@ -219,13 +209,12 @@ def _dense_image_samples(mesh, map_fn, pole, target):
         a, b = segs[split, 0], segs[split, 1]
         m_idx = len(pts) + np.arange(len(mids))
         pts = np.vstack([pts, mids])
-        keep = np.concatenate([keep, np.linalg.norm(mids - pole, axis=1) > 1e-8])
+        img = np.vstack([img, map_fn(mids)])
         rest = np.ones(len(segs), dtype=bool)
         rest[split] = False
         segs = np.vstack([segs[rest],
                           np.stack([a, m_idx], axis=1),
                           np.stack([m_idx, b], axis=1)])
-        img = map_fn(pts[keep])
     return img
 
 
@@ -254,7 +243,7 @@ def radial_limit_check(mesh, vertex):
     for s in _BLOWUP_STRENGTHS:
         dil = ConformalDilation(s * p)
         img = _dense_image_samples(mesh, lambda x: apply_dilation(dil, x),
-                                   pole=-p, target=edge_scale)
+                                   edge_scale)
         sine = np.clip(np.abs(img @ nu), 0.0, 1.0)
         distances.append(float(np.arcsin(sine).max()))
 

@@ -19,6 +19,9 @@ coordinates in the order 0, 1, ..., d - 1, the order of np.sum over a
 coordinate axis. The linking number builds its triple product from the
 cross components in np.cross's own formula and sums them left to right, so
 no np.cross or short-axis sum runs over the pairs and no rounding changes.
+A link on S^3 is charted by the linking number itself, stereographically
+from `_far_pole`; every chart keeps the orientation of S^3, so the signed
+value does not depend on that pole.
 
 Error estimates are Richardson style: the same quantity is recomputed at
 half resolution and the gap, scaled for a second-order method, becomes the
@@ -158,15 +161,19 @@ def mobius_energy(link):
 
 
 def linking_number(link):
-    """Gauss linking integral of an R^3 link, rounded to an integer.
+    """Gauss linking integral of a link in R^3 or on S^3, rounded to an
+    integer.
 
-    The midpoint-rule value of (1/4pi) times the double integral of
-    det(v1, v2, m1 - m2)/|m1 - m2|^3 is rounded; the pre-rounding gap comes
-    back as the residual. A residual above 0.1 means the quadrature cannot
-    be trusted at this resolution.
+    A link in R^4 is charted first, stereographically from `_far_pole`;
+    every stereographic chart keeps the orientation of S^3, so the result
+    does not depend on the pole, and a link off the sphere is an
+    InputError. The midpoint-rule value of (1/4pi) times the double
+    integral of det(v1, v2, m1 - m2)/|m1 - m2|^3 is rounded; the
+    pre-rounding gap comes back as the residual. A residual above 0.1
+    means the quadrature cannot be trusted at this resolution.
     """
-    if link.dim != 3:
-        raise InputError("linking_number needs a link in R^3; project first")
+    if link.dim == 4:
+        link = project_link(link, _far_pole(link))
 
     m1, v1 = _segments(link.gamma1)
     m2, v2 = _segments(link.gamma2)
@@ -212,16 +219,8 @@ def _far_pole(link):
 
 def _linking_bound(link, report):
     """Linking number of `link` and the 4 pi |lk| bound on its cross energy,
-    whose mobius_energy report is given.
-
-    Links in R^4 are projected first, from `_far_pole`; every stereographic
-    chart keeps the orientation of S^3, so the projected linking number
-    does not depend on the pole.
-    """
-    if link.dim == 4:
-        lk = linking_number(project_link(link, _far_pole(link)))
-    else:
-        lk = linking_number(link)
+    whose mobius_energy report is given."""
+    lk = linking_number(link)
     bound = 4.0 * np.pi * abs(lk.value)
     margin = report.value - bound
     allowance = report.error * report.value if report.error is not None else 0.0
@@ -235,11 +234,9 @@ def _linking_bound(link, report):
 def energy_linking_bound_check(link):
     """Check the cross-energy lower bound 4 pi |lk| on one link.
 
-    Links in R^4 (on the three-sphere) are projected stereographically from
-    a deterministically chosen pole before the linking integral, which only
-    needs |lk| and so is projection-invariant. Raises if the margin dips
-    below the reported discretization error, which would signal a broken
-    quadrature rather than a near-equality case.
+    Links on the three-sphere are charted by linking_number itself. Raises
+    if the margin dips below the reported discretization error, which would
+    signal a broken quadrature rather than a near-equality case.
     """
     return _linking_bound(link, mobius_energy(link))[1]
 

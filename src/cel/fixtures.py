@@ -9,17 +9,18 @@ from .projection import lift_mesh
 from .shapes import ellipsoid, tube_torus
 
 
-def ellipsoid_s3(a=1.0, b=0.8, c=0.6, resolution=32):
-    """Ellipsoid carried onto the three-sphere by inverse stereographic
-    projection from the pole (0, 0, 0, 1). Distinct semi-axes keep the
-    principal curvatures distinct almost everywhere, which makes it a good
-    generic test surface."""
-    flat = ellipsoid(a=a, b=b, c=c, resolution=resolution)
+def ellipsoid_s3(resolution=32):
+    """Ellipsoid with semi-axes 1, 0.8 and 0.6 carried onto the three-sphere
+    by inverse stereographic projection from the pole (0, 0, 0, 1).
+    Distinct semi-axes keep the principal curvatures distinct almost
+    everywhere, which makes it a good generic test surface."""
+    flat = ellipsoid(a=1.0, b=0.8, c=0.6, resolution=resolution)
     return lift_mesh(flat, np.array([0.0, 0.0, 0.0, 1.0]))
 
 
-def genus2_surface(big_radius=2.0, tube_radius=1.0, resolution=16):
-    """Genus-two surface: two tube tori joined through a square neck.
+def genus2_surface():
+    """Genus-two surface: two tube tori (ring radius 2, tube radius 1,
+    resolution 16) joined through a square neck.
 
     One grid cell (two faces) is removed from the outermost point of a tube
     torus; the second torus is the mirror image through a plane just beyond
@@ -28,9 +29,9 @@ def genus2_surface(big_radius=2.0, tube_radius=1.0, resolution=16):
     mirror plane, forming the neck. The result is closed, consistently
     oriented, and has Euler characteristic -2.
     """
+    big_radius, tube_radius, n = 2.0, 1.0, 16
     base = tube_torus(big_radius=big_radius, tube_radius=tube_radius,
-                      resolution=resolution)
-    n = resolution
+                      resolution=n)
     verts1 = base.vertices
     # drop the two faces of the first grid cell, whose corners are grid
     # vertices 0, 1, n and n + 1; vertex 0 sits at the outermost point

@@ -19,12 +19,14 @@ from .shapes import _unit_r4
 
 
 def _rows(points, dim):
-    """points as a float (n, dim) array, n >= 1; anything else is a
-    ParameterError."""
+    """points as a finite float (n, dim) array, n >= 1; anything else is a
+    ParameterError. NaN would slip past every later norm comparison."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != dim or len(pts) == 0:
         raise ParameterError(f"expected an (n, {dim}) array of points in R^{dim}, "
                              "n >= 1")
+    if not np.isfinite(pts).all():
+        raise ParameterError("points must be finite")
     return pts
 
 

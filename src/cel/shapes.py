@@ -158,9 +158,10 @@ def clifford_torus(resolution=32):
 
 
 def _unit_r4(vector, name):
-    """`vector` as a unit array of R^4, or a ParameterError naming it."""
+    """`vector` as a unit array of R^4, or a ParameterError naming it; NaN
+    fails the comparison and so is refused too."""
     vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (4,) or abs(np.linalg.norm(vector) - 1.0) > 1e-9:
+    if vector.shape != (4,) or not abs(np.linalg.norm(vector) - 1.0) <= 1e-9:
         raise ParameterError(f"{name} must be a unit vector in R^4")
     return vector / np.linalg.norm(vector)
 

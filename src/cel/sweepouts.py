@@ -331,7 +331,7 @@ def _sampled_sup(mesh, columns, truncation, samples, seed_key):
     """Sup of zero-set length over seeded unit coefficient directions, a
     block of fields per kernel call."""
     dirs = unit_directions(samples, truncation,
-                           np.random.SeedSequence(seed_key), antipodal=True)
+                           np.random.SeedSequence(seed_key))
     best = 0.0
     sub = columns[:, :truncation]
     if not (sub.flags.c_contiguous or sub.flags.f_contiguous):

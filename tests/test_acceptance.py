@@ -2,7 +2,8 @@
 
 The whole verification suite runs twice through the installed command line,
 in subprocesses, exactly as a user would run it, with every RuntimeWarning
-(a NaN, an overflow, a division by zero) turned into an error. Criteria 1
+(a NaN, an overflow, a division by zero) and every UserWarning (such as a
+ResolutionWarning) turned into an error. Criteria 1
 through 12 read the first run's per-check verdicts; criterion 13 compares
 the two runs byte for byte and holds both under the wall-clock budget. Each
 test prints one pass/fail line to the live terminal.
@@ -25,7 +26,8 @@ def verify_runs():
     for _ in range(2):
         t0 = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cel.cli",
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-W", "error::UserWarning", "-m", "cel.cli",
              "verify-all", "--profile", "fast"],
             capture_output=True, text=True, timeout=2 * BUDGET_SECONDS)
         runs.append((proc.stdout, proc.returncode, time.monotonic() - t0))

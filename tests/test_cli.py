@@ -133,6 +133,23 @@ def test_widths_csv_is_deterministic(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_widths_fit_rows_are_the_scaling_fit(tmp_path, capsys):
+    mesh = str(tmp_path / "s.obj")
+    main(["generate", "sphere", "--resolution", "8", "-o", mesh])
+    capsys.readouterr()
+    # the fit needs ten estimates
+    lengths = tuple(range(2, 12))
+    code, out = run(capsys, "widths", mesh, "--lengths", *map(str, lengths),
+                    "--seed", "3", "--fit")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 10 + 2
+    fit = cel.scaling_fit(cel.harmonic_width_series(cel.load_obj(mesh),
+                                                    lengths=lengths, seed=3))
+    assert lines[-2] == "# exponent,%.17g" % fit.exponent
+    assert lines[-1] == "# prefactor,%.17g" % fit.prefactor
+
+
 def test_optimize_writes_monotone_trace(tmp_path, capsys):
     mesh = str(tmp_path / "t.obj")
     trace = str(tmp_path / "trace.csv")
@@ -162,6 +179,21 @@ def test_optimize_mobius_counts_only_descent_steps(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["accepted_steps"] == 52 and payload["status"] == "max_steps"
     assert len(open(trace).read().strip().splitlines()) == 1 + 52
+
+
+def test_optimize_mobius_projects_an_s3_link_and_saves_it(tmp_path, capsys):
+    link, saved = str(tmp_path / "l.json"), str(tmp_path / "out.json")
+    cel.save_link(perturb_link(cel.hopf_link(32), 0.05, seed=9), link)
+    assert main(["optimize", link, "--kind", "mobius", "--steps", "3",
+                 "--save", saved]) == 0
+    captured = capsys.readouterr()
+    assert "projected the link to R^3 before descent" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["accepted_steps"] == 3
+    final = cel.load_link(saved)
+    assert final.dim == 3
+    energy = cel.energies._cross_energy_sum(final.gamma1, final.gamma2)
+    assert energy == payload["final_energy"] < payload["initial_energy"]
 
 
 def test_tube_sweep_csv_finds_sqrt2(capsys):
@@ -285,7 +317,10 @@ def test_unknown_shape_parameter_exits_2(tmp_path, capsys):
     (["sphere", "--param", "radius=1,2"], "error: sphere: parameter(s) ['radius'] take one number"),
     (["torus_link", "--param", "p=2,4"], "error: torus_link: parameter(s) ['p'] take one number"),
     (["torus_link", "--param", "p=2.5"], "error: torus_link needs integer p and q"),
-], ids=["no_center", "no_radius", "radius_list", "p_list", "p_fraction"])
+    (["geodesic_sphere", "--param", "center=nan,0,0,0", "--param", "radius=1"],
+     "error: center must be a unit vector in R^4"),
+], ids=["no_center", "no_radius", "radius_list", "p_list", "p_fraction",
+        "nan_center"])
 def test_bad_shape_call_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "x.obj"
     assert main(["generate", *argv, "--resolution", "8", "-o", str(out)]) == 2

@@ -8,8 +8,9 @@ from cel import (ConformalDilation, InputError, InversionR4, ParameterError,
                  g_family, hopf_link, linking_number, make_shape,
                  mobius_energy, perturb_link, project_link,
                  radial_limit_check, willmore_energy)
-from cel.conformal import _dilation_drifts
+from cel.conformal import _dense_image_samples, _dilation_drifts
 from cel.energies import _far_pole
+from cel.projection import stereographic, stereographic_inverse
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
@@ -119,6 +120,48 @@ def test_maps_take_only_rows_of_r4(bad):
                        (apply_inversion, InversionR4(v))):
         with pytest.raises(ParameterError, match=r"\(n, 4\)"):
             apply(arg, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maps_refuse_non_finite_points(bad):
+    # a plain |x| comparison is False for NaN, so the on-sphere checks
+    # alone would let a NaN row through
+    pts = random_s3_points(5, 3)
+    pts[2, 1] = bad
+    v = np.array([0.1, 0.0, 0.0, 0.0])
+    pole = np.array([0.0, 0.0, 0.0, 1.0])
+    for apply in (lambda x: stereographic(x, pole),
+                  lambda x: stereographic_inverse(x[:, :3], pole),
+                  lambda x: apply_dilation(ConformalDilation(v), x),
+                  lambda x: apply_dilation(ConformalDilation(np.zeros(4)), x),
+                  lambda x: apply_inversion(InversionR4(v), x)):
+        with pytest.raises(ParameterError, match="finite"):
+            apply(pts)
+
+
+def test_projections_refuse_a_nan_pole():
+    pole = np.array([np.nan, 0.0, 0.0, 1.0])
+    pts = random_s3_points(5, 4)
+    with pytest.raises(ParameterError, match="pole"):
+        stereographic(pts, pole)
+    with pytest.raises(ParameterError, match="pole"):
+        stereographic_inverse(pts[:, :3], pole)
+
+
+def test_dense_samples_map_each_point_once(clifford16):
+    dil = ConformalDilation(0.99 * clifford16.vertices[0])
+    seen = []
+
+    def counted(x):
+        seen.append(x.copy())
+        return apply_dilation(dil, x)
+
+    target = float(np.mean(clifford16.edge_lengths()))
+    img = _dense_image_samples(clifford16, counted, target)
+    points = np.vstack(seen)
+    assert len(seen) > 2
+    assert len(np.unique(points, axis=0)) == len(points) == len(img)
+    assert np.array_equal(img, np.vstack([apply_dilation(dil, x) for x in seen]))
 
 
 def test_radial_limit_decay(clifford16):

@@ -102,9 +102,22 @@ def test_unlinked_residual_equals_the_np_cross_sum():
         assert linking_number(link) == (0, abs(raw))
 
 
-def test_linking_number_needs_r3():
-    with pytest.raises(InputError):
-        linking_number(make_shape("hopf_link", resolution=32))
+@pytest.mark.parametrize("resolution,amplitude,seed",
+                         [(64, 0.0, 0), (256, 0.0, 0), (64, 0.03, 1),
+                          (256, 0.03, 0), (256, 0.1, 3)])
+def test_linking_number_charts_a_link_on_s3(resolution, amplitude, seed):
+    # a link on S^3 is charted from _far_pole inside linking_number, so it
+    # gives the projected link's report, value and residual alike
+    link = make_shape("hopf_link", resolution=resolution)
+    if amplitude:
+        link = perturb_link(link, amplitude, seed=seed)
+    assert linking_number(link) == linking_number(project_link(link, _far_pole(link)))
+
+
+def test_linking_number_refuses_a_link_off_s3():
+    hopf = make_shape("hopf_link", resolution=32)
+    with pytest.raises(InputError, match="S\\^3"):
+        linking_number(PolyLink(1.5 * hopf.gamma1, hopf.gamma2))
 
 
 def test_willmore_closed_forms(sphere16, clifford16):
@@ -127,7 +140,7 @@ def test_bending_energy_is_similarity_invariant(name):
             "tube": lambda: make_shape("tube_torus", resolution=12),
             "ellipsoid": lambda: make_shape("ellipsoid", resolution=12,
                                             a=1.0, b=0.8, c=0.6),
-            "genus2": lambda: genus2_surface(resolution=16)}[name]()
+            "genus2": genus2_surface}[name]()
     base = willmore_energy(mesh, error_estimate=False).value
 
     @settings(deadline=None, max_examples=20)

@@ -44,7 +44,7 @@ def test_euler_genus():
     assert euler_genus(make_shape("sphere", resolution=8)) == 0
     assert euler_genus(make_shape("tube_torus", resolution=12)) == 1
     assert euler_genus(make_shape("clifford_torus", resolution=12)) == 1
-    g2 = genus2_surface(resolution=16)
+    g2 = genus2_surface()
     g2.validate()
     assert euler_genus(g2) == 2
 
@@ -238,7 +238,7 @@ def test_import_leaves_scipy_spatial_out():
 
 
 def test_genus2_surface_is_pinned():
-    g2 = genus2_surface(resolution=16)
+    g2 = genus2_surface()
     assert (g2.vertex_count, g2.face_count) == (508, 1020)
     assert g2.area() == pytest.approx(156.75499754926668, rel=1e-12)
     assert g2.vertices[:, 0].max() == pytest.approx(9.609844938560219, rel=1e-15)

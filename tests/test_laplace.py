@@ -47,7 +47,7 @@ def _reference_mass(mesh):
     lambda: make_shape("sphere", resolution=16),
     lambda: make_shape("clifford_torus", resolution=24),
     lambda: perturb_mesh(make_shape("tube_torus", resolution=20), 1e-3, seed=3),
-    lambda: genus2_surface(resolution=16),
+    genus2_surface,
     lambda: ellipsoid_s3(resolution=12),
 ], ids=["sphere", "clifford", "perturbed_tube", "genus2", "ellipsoid_s3"])
 def test_assembly_matches_the_loop_reference(build):

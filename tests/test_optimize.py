@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import cel.optimize
-from cel import (ParameterError, PolyLink, ResolutionWarning, TriMesh,
-                 estimate_curvatures, genus2_surface, make_shape,
+from cel import (MeshQualityError, ParameterError, PolyLink,
+                 ResolutionWarning, TriMesh, estimate_curvatures,
+                 genus2_surface, make_shape,
                  mobius_descent, mobius_energy, tube_family_sweep,
                  willmore_descent, willmore_energy, willmore_relative_gradient)
 import cel.curvature
@@ -172,7 +173,7 @@ def test_two_ring_counts_do_not_wrap():
 
 @pytest.mark.parametrize("build", [
     lambda: perturb_mesh(make_shape("clifford_torus", resolution=12), 0.05, seed=9),
-    lambda: genus2_surface(resolution=16),
+    genus2_surface,
     lambda: perturb_mesh(make_shape("sphere", resolution=8), 0.02, seed=5),
 ], ids=["clifford_torus", "genus2", "sphere"])
 def test_gradient_does_not_depend_on_the_row_block_size(build, monkeypatch):
@@ -367,6 +368,52 @@ def test_mobius_descent_stops_on_contact():
         _, trace = mobius_descent(link, steps=5)
     assert trace.status == "collision"
     assert len(trace.energies) == 1
+
+
+def _perturbed_flat_hopf():
+    hopf = make_shape("hopf_link", resolution=32)
+    return perturb_link(project_link(hopf, _far_pole(hopf)), 0.08, seed=9)
+
+
+def test_descents_stagnate_when_no_halving_is_left(monkeypatch):
+    # without a halving the line search tries nothing and accepts nothing
+    monkeypatch.setattr(cel.optimize, "_HALVINGS", 0)
+    mesh = perturb_mesh(make_shape("clifford_torus", resolution=12), 0.05, seed=9)
+    final, trace = willmore_descent(mesh, steps=3)
+    assert trace.status == "stagnated"
+    assert len(trace.energies) == len(trace.gradient_norms) == 1
+    assert np.array_equal(final.vertices, mesh.vertices)
+    link = _perturbed_flat_hopf()
+    final, trace = mobius_descent(link, steps=3)
+    assert trace.status == "stagnated"
+    assert len(trace.energies) == len(trace.gradient_norms) == 1
+    assert np.array_equal(final.gamma1, link.gamma1)
+    assert np.array_equal(final.gamma2, link.gamma2)
+
+
+def test_line_search_scores_a_broken_candidate_as_infinite():
+    # the full step folds the mesh; the halved step is accepted
+    tried = []
+
+    def evaluate(x):
+        tried.append(float(x[0]))
+        if x[0] < -0.5:
+            raise MeshQualityError("folded")
+        return float(x @ x)
+
+    x = np.array([1.0])
+    new, e, ok = cel.optimize._armijo(evaluate, x, 2.0 * x, 1.0, 1.0)
+    assert tried == [-1.0, 0.0]
+    assert ok and e == 0.0 and np.array_equal(new, [0.0])
+
+
+def test_mobius_descent_detects_stationarity(monkeypatch):
+    monkeypatch.setattr(cel.optimize, "_GRAD_TOL", 1e9)
+    link = _perturbed_flat_hopf()
+    final, trace = mobius_descent(link, steps=3)
+    assert trace.status == "stationary"
+    assert len(trace.energies) == len(trace.gradient_norms) == 1
+    assert np.array_equal(final.gamma1, link.gamma1)
 
 
 def test_reference_surfaces_are_stationary(great_sphere16):

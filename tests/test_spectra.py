@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cel.spectra
 from cel import (NotMinimalError, ParameterError, jacobi_index_analytic,
                  jacobi_index_numeric, make_shape)
 from cel.fixtures import ellipsoid_s3
@@ -27,6 +28,25 @@ def test_numeric_great_sphere():
     rep = jacobi_index_numeric(gs)
     assert rep.index == 1
     assert rep.near_zero == 3
+
+
+def test_numeric_window_widens_until_it_covers_the_spectrum(monkeypatch,
+                                                            great_sphere16):
+    # two eigenpairs cannot reach the bottom of the spectrum, so the solve
+    # retries with more; the counts must not depend on the first window
+    calls = []
+    eigsh = cel.spectra._eigsh
+
+    def counted(operator, mass, k, *args):
+        calls.append(k)
+        return eigsh(operator, mass, k, *args)
+
+    monkeypatch.setattr(cel.spectra, "_EIGENPAIRS", 2)
+    monkeypatch.setattr(cel.spectra, "_eigsh", counted)
+    rep = jacobi_index_numeric(great_sphere16)
+    assert len(calls) > 1
+    assert calls == [2 ** (k + 1) for k in range(len(calls))]
+    assert (rep.index, rep.near_zero) == (1, 3)
 
 
 def test_numeric_clifford():

@@ -26,6 +26,11 @@ def test_empty_level_set(sphere16):
     assert level_set_length(sphere16, sphere16.vertices[:, 2], 2.0) == 0.0
 
 
+def test_empty_sublevel_boundary(sphere16):
+    cycles = sublevel_boundary(sphere16, sphere16.vertices[:, 2], 2.0)
+    assert cycles.loops == [] and cycles.total_length == 0.0
+
+
 def test_field_length_guard(sphere16):
     with pytest.raises(InputError):
         level_set_length(sphere16, np.ones(7))
