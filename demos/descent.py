@@ -9,7 +9,6 @@ search with a collision guard on the link side).
 import numpy as np
 
 from cel import make_shape, mobius_descent, willmore_descent
-from cel.energies import _far_pole
 from cel.fixtures import perturb_link, perturb_mesh
 from cel.projection import project_link
 
@@ -29,7 +28,8 @@ def main():
          floor=2 * np.pi ** 2 * 0.987)
 
     hopf = make_shape("hopf_link", resolution=64)
-    flat = perturb_link(project_link(hopf, _far_pole(hopf)), 0.08, seed=11)
+    # the unit pole (1, 1, 1, 1) / 2 is far from both core circles
+    flat = perturb_link(project_link(hopf, np.full(4, 0.5)), 0.08, seed=11)
     _, trace = mobius_descent(flat, steps=12)
     show("link descent, jittered flat fibration", trace,
          floor=2 * np.pi ** 2)

@@ -142,11 +142,13 @@ def _cross_row_sums(m1, m2, len2):
 def mobius_energy(link):
     """Cross energy of a two-component link by the midpoint rule.
 
-    Disjointness is enforced at link construction; if some segment pair is
-    closer than ten times its own segment lengths the quadrature is suspect
-    there and a ResolutionWarning is issued (the criterion is local, so a
-    long segment far from the other curve does not trip it). The error
-    estimate reruns the sum on curves subsampled to every other vertex.
+    Link construction rejects components that share a sample point, a
+    vertex or segment midpoint, so no midpoint pair of the full-resolution
+    sum is at squared distance 0. If some segment pair is closer than ten
+    times its own segment lengths the quadrature is suspect there and a
+    ResolutionWarning is issued (the criterion is local, so a long segment
+    far from the other curve does not trip it). The error estimate reruns
+    the sum on curves subsampled to every other vertex.
     """
     near = []
     value = _cross_energy_sum(link.gamma1, link.gamma2, near)

@@ -165,6 +165,8 @@ def euler_genus(mesh):
 
 
 _TILE_PAIRS = 1 << 16    # point pairs per tile of _pair_tiles
+_BOX_ROWS = 64           # consecutive points per bounding box of _touch
+_BOX_PAD = 2.0 ** -500   # box padding, far above the 2^-537 gap of a zero d2
 _SPHERE_TOL = 1e-9       # largest | |x| - 1 | of a PolyLink on S^3
 
 
@@ -202,9 +204,53 @@ def _min_gap(p, q):
     return float(np.sqrt(min(float(d2.min()) for _, _, d2 in _pair_tiles(p, q))))
 
 
+def _boxes(p):
+    """Bounding boxes (lo, hi), padded by _BOX_PAD, of the runs of _BOX_ROWS
+    consecutive rows of p."""
+    starts = np.arange(0, len(p), _BOX_ROWS)
+    return (np.minimum.reduceat(p, starts) - _BOX_PAD,
+            np.maximum.reduceat(p, starts) + _BOX_PAD)
+
+
+def _touch(p, q):
+    """Whether a point of p and a point of q coincide: some pair's d2, as
+    _pair_tiles computes it, is 0. This equals _min_gap(p, q) <= 0.0.
+
+    d2 is 0 only when every fl(p_k - q_k)^2 underflows, which needs
+    |p_k - q_k| < 2^-537 in every coordinate. Such a pair lies in two boxes
+    of _boxes that overlap, because the padding exceeds that gap and
+    rounding is monotone, so only overlapping runs are tiled. Far-apart
+    point sets cost one box test per pair of runs instead of the n * m
+    pairs of _min_gap."""
+    plo, phi = _boxes(p)
+    qlo, qhi = _boxes(q)
+    near = np.all((plo[:, None] <= qhi) & (qlo <= phi[:, None]), axis=-1)
+    for i in np.flatnonzero(near.any(axis=1)):
+        rows = np.repeat(near[i], _BOX_ROWS)[:len(q)]
+        run = p[i * _BOX_ROWS:(i + 1) * _BOX_ROWS]
+        if any((d2 == 0.0).any() for _, _, d2 in _pair_tiles(run, q[rows])):
+            return True
+    return False
+
+
+def _samples(g):
+    """The sample points of a closed polyline: its vertices, then its
+    segment midpoints."""
+    return np.vstack([g, _segments(g)[0]])
+
+
 @dataclass
 class PolyLink:
-    """Two disjoint closed polylines with a common ambient dimension."""
+    """Two disjoint closed polylines with a common ambient dimension.
+
+    Construction raises InputError when the components share a sample
+    point: a vertex or segment midpoint of one coincides with one of the
+    other (their squared distance is 0 in floating point). The check asks
+    for a shared point, not a distance: it compares points only inside
+    overlapping bounding boxes of 64 consecutive samples, so separated
+    components cost one box test per pair of runs instead of one distance
+    per pair of points. min_distance() is the full minimum.
+    """
 
     gamma1: np.ndarray
     gamma2: np.ndarray
@@ -221,7 +267,7 @@ class PolyLink:
                 raise ParameterError("curve coordinates must be finite")
         if self.gamma1.shape[1] != self.gamma2.shape[1]:
             raise ParameterError("curves must share an ambient dimension")
-        if self.min_distance() <= 0.0:
+        if _touch(_samples(self.gamma1), _samples(self.gamma2)):
             raise InputError("link components touch")
 
     @property
@@ -234,8 +280,7 @@ class PolyLink:
         Vertices and segment midpoints are compared; this is a sampling
         bound, not an exact curve distance, and is documented as such.
         """
-        return _min_gap(np.vstack([self.gamma1, _segments(self.gamma1)[0]]),
-                        np.vstack([self.gamma2, _segments(self.gamma2)[0]]))
+        return _min_gap(_samples(self.gamma1), _samples(self.gamma2))
 
     def diameter(self):
         return _diameter(np.vstack([self.gamma1, self.gamma2]))

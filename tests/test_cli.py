@@ -335,6 +335,16 @@ def test_link_with_a_non_numeric_entry_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad link arrays: ")
 
 
+def test_link_whose_components_share_a_vertex_exits_2(tmp_path, capsys):
+    link = tmp_path / "l.json"
+    square = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+    other = [[1, 1, 0], [2, 1, 1], [2, 2, 2], [1, 2, 1]]    # shares (1, 1, 0)
+    link.write_text(json.dumps({"gamma1": square, "gamma2": other}))
+    assert main(["link-energy", str(link)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "link components touch" in err
+
+
 def test_resolution_as_a_parameter_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.obj")
     assert main(["generate", "sphere", "--param", "resolution=9", "-o", out]) == 2

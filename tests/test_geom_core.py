@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import cel
 import cel.cli
+import cel.mesh
 from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
                  ParameterError, PolyLink, TriMesh, euler_genus, load_link,
                  load_obj, make_shape, save_link, save_obj)
@@ -20,7 +21,7 @@ from cel._accum import stable_sum
 from cel.curvature import _tangent_bases
 from cel.energies import _POLE_CANDIDATES, gauss_map_torus
 from cel.fixtures import ellipsoid_s3, genus2_surface, perturb_mesh
-from cel.mesh import _pair_tiles, _segments
+from cel.mesh import _BOX_ROWS, _boxes, _min_gap, _pair_tiles, _segments, _touch
 from cel.optimize import willmore_gradient
 from cel.projection import stereographic, stereographic_inverse
 from cel.shapes import _grid_torus_faces, _icosahedron, _icosphere
@@ -329,6 +330,68 @@ def test_min_distance_matches_brute_force():
         p2 = np.vstack([link.gamma2, _segments(link.gamma2)[0]])
         brute = np.sqrt(np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2).min())
         assert link.min_distance() == brute
+
+
+def _clouds(dim, scale, seed):
+    """Seeded point clouds whose last boxes are partial."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(3 * _BOX_ROWS + 17, dim)) * scale,
+            rng.normal(size=(2 * _BOX_ROWS + 5, dim)) * scale)
+
+
+def _touch_cases(p, q):
+    """p, q, then copies with the pair p[i] = offset / 2, q[j] = -offset / 2
+    planted in the first, middle and partial last box, at offsets 0,
+    1e-170 (its d2 underflows) and 1e-160 (it does not)."""
+    yield p, q
+    for i, j in ((3, 5), (len(p) // 2, len(q) // 2), (len(p) - 2, len(q) - 3)):
+        for offset in (0.0, 1e-170, 1e-160):
+            planted_p, planted_q = p.copy(), q.copy()
+            planted_p[i], planted_q[j] = 0.5 * offset, -0.5 * offset
+            yield planted_p, planted_q
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-162, 1e-170])
+def test_touch_equals_the_min_gap_test(dim, scale):
+    # clouds in opposite orthants: a planted pair straddles the gap between
+    # their boxes, which only the padding closes
+    p, q = _clouds(dim, scale, seed=dim)
+    outcomes = set()
+    for p, q in _touch_cases(np.abs(p), -np.abs(q)):
+        assert _touch(p, q) == (_min_gap(p, q) <= 0.0)
+        assert _touch(q, p) == (_min_gap(q, p) <= 0.0)
+        outcomes.add(_touch(p, q))
+    # at 1e-162 and below some unplanted pair's gaps already all underflow
+    assert outcomes == ({True, False} if scale >= 1e-150 else {True})
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_touch_equals_the_min_gap_test_when_every_box_overlaps(dim):
+    flat = np.r_[np.ones(dim - 1), 0.0]
+    p, q = _clouds(dim, 1.0, seed=dim)
+    for p, q in _touch_cases(p * flat, q * flat):    # coplanar, interleaved
+        plo, phi = _boxes(p)
+        qlo, qhi = _boxes(q)
+        assert np.all((plo[:, None] <= qhi) & (qlo <= phi[:, None]))
+        assert _touch(p, q) == (_min_gap(p, q) <= 0.0)
+
+
+def test_link_construction_prunes_every_pair_of_the_hopf_link(monkeypatch):
+    evaluated = []
+
+    def counted(p, q):
+        for tile in _pair_tiles(p, q):
+            evaluated.append(tile[2].size)
+            yield tile
+
+    monkeypatch.setattr(cel.mesh, "_pair_tiles", counted)
+    hopf = cel.hopf_link(resolution=1024)
+    cel.project_link(hopf, np.full(4, 0.5))
+    assert sum(evaluated) == 0
+    # the torus link's boxes overlap, so the wrapper does see its pairs
+    cel.torus_link(2, 4, resolution=256)
+    assert sum(evaluated) > 0
 
 
 @pytest.mark.parametrize("p_shape, m", [

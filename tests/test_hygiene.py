@@ -110,6 +110,7 @@ def test_public_names_change_only_on_purpose():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").rglob("*.py"))
 
 # public names whose only callers are tests, each kept for a reason
 NO_CALLER_YET = {
@@ -131,8 +132,27 @@ def _mentioned(tree):
 
 
 def test_every_public_name_has_a_caller():
-    sources = MODULES + sorted((ROOT / "demos").rglob("*.py"))
-    sources += sorted((ROOT / "perfbench").rglob("*.py"))
+    sources = MODULES + DEMOS + sorted((ROOT / "perfbench").rglob("*.py"))
     mentioned = set().union(*(_mentioned(_tree(p)) for p in sources))
     assert set(NO_CALLER_YET) <= set(cel.__all__)
     assert sorted(set(cel.__all__) - mentioned - set(NO_CALLER_YET)) == []
+
+
+def _private_cel_imports(path):
+    """The `_`-prefixed modules and names a file imports from cel."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cel":
+            parts = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names if alias.name.split(".")[0] == "cel"
+                     for part in alias.name.split(".")]
+        else:
+            continue
+        found += [f"{part} (line {node.lineno})" for part in parts if part.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demos_import_nothing_private_from_cel(path):
+    assert _private_cel_imports(path) == []
