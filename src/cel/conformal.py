@@ -18,11 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import _LocalEnergyModel, estimate_curvatures
+from .curvature import CurvatureField, _LocalEnergyModel, estimate_curvatures
 from .energies import _willmore_report, gauss_map_torus
 from .errors import (DegenerateInputError, GeometryError, InputError,
                      NearPoleError, ParameterError)
-from .mesh import PolyLink, TriMesh
+from .mesh import PolyLink, TriMesh, _vertex_areas
 from .projection import _check_on_sphere, _rows
 
 
@@ -101,6 +101,33 @@ def dilate_mesh(mesh, v):
         raise InputError("dilations act on S3 meshes")
     return TriMesh(apply_dilation(ConformalDilation(v), mesh.vertices),
                    mesh.faces.copy(), ambient="S3")
+
+
+def _dilated_field(mesh, field, image, v):
+    """CurvatureField of `image`, the dilation of `mesh` by v, carried over
+    from the field of `mesh` by the conformal law instead of a refit.
+
+    The dilation pulls the round metric back to e^(2u) g, where, with P, lam
+    and a as in `apply_dilation` and D = lam^2 (1 + a) + 1 - a, e^u = 2 lam / D
+    and d_nu u = -(lam^2 - 1) <nu, P> / D. The image's principal curvatures
+    are k' = e^(-u) (k + d_nu u), so k1 >= k2 is kept, and its normal is the
+    differential of the map applied to nu, scaled to unit length. The
+    weights are the image's own vertex areas. At v = 0 the field is
+    returned as it is.
+    """
+    d = ConformalDilation(v)
+    if d.strength == 0.0:
+        return field
+    pole, lam = -d.v / d.strength, d.scale
+    a, b = mesh.vertices @ pole, field.normal @ pole
+    denom = lam * lam * (1.0 + a) + 1.0 - a
+    shrink, du = denom / (2.0 * lam), -(lam * lam - 1.0) * b / denom
+    # D times the differential of apply_dilation's closed form along nu
+    normal = (2.0 * lam * field.normal + np.outer((lam - 1.0) ** 2 * b, pole)
+              - ((lam * lam - 1.0) * b)[:, None] * image.vertices)
+    return CurvatureField(k1=shrink * (field.k1 + du), k2=shrink * (field.k2 + du),
+                          normal=normal / np.linalg.norm(normal, axis=1)[:, None],
+                          weight=_vertex_areas(image.vertices, image.faces))
 
 
 def _dilation_drifts(mesh, vs, error_estimate):

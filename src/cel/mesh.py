@@ -243,13 +243,14 @@ def _samples(g):
 class PolyLink:
     """Two disjoint closed polylines with a common ambient dimension.
 
-    Construction raises InputError when the components share a sample
-    point: a vertex or segment midpoint of one coincides with one of the
-    other (their squared distance is 0 in floating point). The check asks
-    for a shared point, not a distance: it compares points only inside
-    overlapping bounding boxes of 64 consecutive samples, so separated
-    components cost one box test per pair of runs instead of one distance
-    per pair of points. min_distance() is the full minimum.
+    Construction raises InputError when a segment midpoint overflows to
+    inf, and when the components share a sample point: a vertex or segment
+    midpoint of one coincides with one of the other (their squared distance
+    is 0 in floating point). The check asks for a shared point, not a
+    distance: it compares points only inside overlapping bounding boxes of
+    64 consecutive samples, so separated components cost one box test per
+    pair of runs instead of one distance per pair of points. min_distance()
+    is the full minimum.
     """
 
     gamma1: np.ndarray
@@ -267,7 +268,12 @@ class PolyLink:
                 raise ParameterError("curve coordinates must be finite")
         if self.gamma1.shape[1] != self.gamma2.shape[1]:
             raise ParameterError("curves must share an ambient dimension")
-        if _touch(_samples(self.gamma1), _samples(self.gamma2)):
+        # a midpoint that overflows is raised as an error below, not warned
+        with np.errstate(over="ignore"):
+            s1, s2 = _samples(self.gamma1), _samples(self.gamma2)
+        if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
+            raise InputError("curve segment midpoints overflow")
+        if _touch(s1, s2):
             raise InputError("link components touch")
 
     @property

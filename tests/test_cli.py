@@ -345,6 +345,17 @@ def test_link_whose_components_share_a_vertex_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "link components touch" in err
 
 
+def test_link_whose_midpoints_overflow_exits_2(tmp_path, capsys):
+    link = tmp_path / "l.json"
+    t = 2.0 * np.pi * np.arange(16) / 16
+    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    link.write_text(json.dumps({"gamma1": (1e308 * circle).tolist(),
+                                "gamma2": circle.tolist()}))
+    assert main(["link-energy", str(link)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err
+
+
 def test_resolution_as_a_parameter_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.obj")
     assert main(["generate", "sphere", "--param", "resolution=9", "-o", out]) == 2

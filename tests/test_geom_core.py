@@ -426,6 +426,21 @@ def test_link_rejects_non_finite_coordinates(bad):
         PolyLink(other, circle)
 
 
+def test_link_rejects_overflowing_midpoints():
+    # every coordinate is finite, but neighbouring vertices near 1e308 sum
+    # past the float range, so a segment midpoint is inf
+    t = 2.0 * np.pi * np.arange(16) / 16
+    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    huge = 1e308 * circle
+    assert np.isfinite(huge).all()
+    with pytest.raises(InputError, match="overflow"):
+        PolyLink(huge, circle)
+    with pytest.raises(InputError, match="overflow"):
+        PolyLink(circle, huge)
+    # at 4e307 every sum of two neighbours stays in range
+    PolyLink(4e307 * circle, circle + [0.0, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_mesh_rejects_non_finite_vertices(bad, sphere16):
     verts = sphere16.vertices.copy()
