@@ -168,6 +168,9 @@ _TILE_PAIRS = 1 << 16    # point pairs per tile of _pair_tiles
 _BOX_ROWS = 64           # consecutive points per bounding box of _touch
 _BOX_PAD = 2.0 ** -500   # box padding, far above the 2^-537 gap of a zero d2
 _SPHERE_TOL = 1e-9       # largest | |x| - 1 | of a PolyLink on S^3
+# largest coordinate spread of a PolyLink: the d <= 4 squared differences of
+# a sample distance then sum to at most 2^1022
+_SPREAD_MAX = 2.0 ** 510
 
 
 def _segments(g):
@@ -243,8 +246,10 @@ def _samples(g):
 class PolyLink:
     """Two disjoint closed polylines with a common ambient dimension.
 
-    Construction raises InputError when a segment midpoint overflows to
-    inf, and when the components share a sample point: a vertex or segment
+    Construction raises InputError when some coordinate spreads over more
+    than _SPREAD_MAX across both components, so that a squared sample
+    distance could overflow; when a segment midpoint overflows to inf; and
+    when the components share a sample point: a vertex or segment
     midpoint of one coincides with one of the other (their squared distance
     is 0 in floating point). The check asks for a shared point, not a
     distance: it compares points only inside overlapping bounding boxes of
@@ -268,6 +273,14 @@ class PolyLink:
                 raise ParameterError("curve coordinates must be finite")
         if self.gamma1.shape[1] != self.gamma2.shape[1]:
             raise ParameterError("curves must share an ambient dimension")
+        # one contiguous row per coordinate: reducing along rows is several
+        # times faster than down the short columns of an (n, d) array
+        coords = np.vstack([self.gamma1, self.gamma2]).T.copy()
+        lo, hi = coords.min(axis=1), coords.max(axis=1)
+        # halved, the spread itself cannot overflow
+        if np.any(0.5 * hi - 0.5 * lo > 0.5 * _SPREAD_MAX):
+            raise InputError("curve coordinates spread beyond 2^510, so "
+                             "squared sample distances can overflow")
         # a midpoint that overflows is raised as an error below, not warned
         with np.errstate(over="ignore"):
             s1, s2 = _samples(self.gamma1), _samples(self.gamma2)

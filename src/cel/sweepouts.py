@@ -67,10 +67,16 @@ _FIRST_SLOT = _CROSSED.argmax(axis=1)
 _LAST_SLOT = 2 - _CROSSED[:, ::-1].argmax(axis=1)
 
 _BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
-# fields per kernel call in _sampled_sup, at most the 64 bits of a sign word:
-# 32 runs as fast as 64 on the resolution-32 sphere, and 64 raises the
-# widths workload's peak resident memory by 2 MB
-_SUP_BLOCK = 32
+# fields per kernel call in _sampled_sup: all 64 bits of a sign word, so each
+# pass over the faces and each call's overhead serve 64 fields. Against 32 on
+# a 2-core Xeon with a 2 MB L2 cache per core: the widths workload
+# (resolution-16 sphere, resolution-10 eigenfunctions) takes 10 to 15 percent
+# less time and 2.4 MB more peak resident memory. On the resolution-32
+# sphere, verify's width_scaling check takes about 1.5 percent more time
+# (5.38 against 5.30 s, medians of 5), since at high L the cut arrays of 64
+# fields outgrow the L2 cache; a call's numpy peak at L = 49 goes from 7.1
+# to 12.8 MiB
+_SUP_BLOCK = 64
 
 
 def _sign_words(fields, level):
@@ -89,8 +95,15 @@ def _sign_words(fields, level):
     return byte.view("<u8").ravel()
 
 
-def _cut_faces(faces, fields, level):
-    """Every face that the level set of a field in a (B, V) block cuts.
+def _face_edges(faces):
+    """The (start, end) vertices of edge slot 3 f + s, the edge of face f
+    from corner s to corner s+1 mod 3."""
+    return faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+
+
+def _cut_faces(edges, fields, level):
+    """Every face that the level set of a field in a (B, V) block cuts,
+    with `edges` the _face_edges table of the faces.
 
     B is at most 64: the above/below signs of all B fields at a vertex are
     the bits of one word, and a face is cut by the fields whose bits differ
@@ -100,7 +113,8 @@ def _cut_faces(faces, fields, level):
     cases. Returns the field of each cut, ordered by field and then by face,
     and the (start, end) vertices of its first and last crossed edge.
     """
-    wa, wb, wc = _sign_words(fields, level)[faces.T]
+    starts, ends = edges
+    wa, wb, wc = _sign_words(fields, level)[starts.reshape(-1, 3).T]
     mixed = (wa ^ wb) | (wb ^ wc)
     hit = np.flatnonzero(mixed)
     # bit s of byte k of each hit face's word, as row 8k + s
@@ -118,8 +132,6 @@ def _cut_faces(faces, fields, level):
     code = (wa[face] >> shift & 1 | (wb[face] >> shift & 1) << 1
             | (wc[face] >> shift & 1) << 2).view(np.int64)
     face *= 3
-    starts = faces.ravel()
-    ends = np.roll(faces, -1, axis=1).ravel()
 
     def edge(table):
         slot = table[code]
@@ -150,8 +162,9 @@ def _fractions(flat, level, row, i, j):
     return ti
 
 
-def _level_set_lengths(mesh, fields, level):
+def _level_set_lengths(mesh, fields, level, edges=None):
     """Level-set length of each field in a (B, V) block, B <= 64, as a list.
+    `edges` is the _face_edges table of the mesh, built here if not given.
 
     Each cut triangle contributes the straight segment between its two edge
     crossings, and each field's segments are summed on their own, so a
@@ -160,8 +173,10 @@ def _level_set_lengths(mesh, fields, level):
     Each face computes its own crossings: t is not symmetric in i and j, so
     an edge's two faces need not round its crossing alike.
     """
-    field, first, last = _cut_faces(mesh.faces, fields, level)
-    ends = np.searchsorted(field, np.arange(1, len(fields)))
+    if edges is None:
+        edges = _face_edges(mesh.faces)
+    field, first, last = _cut_faces(edges, fields, level)
+    bounds = np.searchsorted(field, np.arange(len(fields) + 1)).tolist()
     field *= fields.shape[1]
     flat = fields.ravel()
     ta = _fractions(flat, level, field, *first)
@@ -174,7 +189,7 @@ def _level_set_lengths(mesh, fields, level):
         d *= d
         seg += d
     np.sqrt(seg, out=seg)
-    return [float(part.sum()) for part in np.split(seg, ends)]
+    return [float(seg[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
 
 
 def _one_field(mesh, values, level):
@@ -206,7 +221,7 @@ def sublevel_boundary(mesh, values, level=0.0):
     segment neighbors and the segments chain into disjoint closed loops.
     """
     fields = _one_field(mesh, values, level)
-    field, first, last = _cut_faces(mesh.faces, fields, level)
+    field, first, last = _cut_faces(_face_edges(mesh.faces), fields, level)
     if len(field) == 0:
         return CycleSet(loops=[], total_length=0.0)
 
@@ -329,7 +344,12 @@ def _require_unit_sphere_mesh(mesh):
 
 def _sampled_sup(mesh, columns, truncation, samples, seed_key):
     """Sup of zero-set length over seeded unit coefficient directions, a
-    block of fields per kernel call."""
+    block of fields per kernel call.
+
+    A block's fields come from one stacked product: np.matmul runs the same
+    gemv for each (L, 1) direction as for the direction alone, so a field
+    does not depend on the block it is computed in.
+    """
     dirs = unit_directions(samples, truncation,
                            np.random.SeedSequence(seed_key))
     best = 0.0
@@ -337,12 +357,13 @@ def _sampled_sup(mesh, columns, truncation, samples, seed_key):
     if not (sub.flags.c_contiguous or sub.flags.f_contiguous):
         # a dense copy runs the same gemv kernel on fewer cache lines
         sub = sub.copy()
+    edges = _face_edges(mesh.faces)
     fields = np.empty((min(_SUP_BLOCK, samples), len(sub)))
     for start in range(0, samples, _SUP_BLOCK):
         part = dirs[start:start + _SUP_BLOCK]
-        for row, d in zip(fields, part):
-            np.matmul(sub, d, out=row)
-        best = max(best, *_level_set_lengths(mesh, fields[:len(part)], 0.0))
+        block = fields[:len(part)]
+        np.matmul(sub, part[:, :, None], out=block[:, :, None])
+        best = max(best, *_level_set_lengths(mesh, block, 0.0, edges))
     return best
 
 

@@ -349,11 +349,23 @@ def test_link_whose_midpoints_overflow_exits_2(tmp_path, capsys):
     link = tmp_path / "l.json"
     t = 2.0 * np.pi * np.arange(16) / 16
     circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
-    link.write_text(json.dumps({"gamma1": (1e308 * circle).tolist(),
-                                "gamma2": circle.tolist()}))
+    high = circle + [0.0, 0.0, 1e308]
+    link.write_text(json.dumps({"gamma1": high.tolist(),
+                                "gamma2": (high + [3.0, 0.0, 0.0]).tolist()}))
     assert main(["link-energy", str(link)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "overflow" in err
+    assert err.startswith("error: ") and "midpoints overflow" in err
+
+
+def test_link_whose_squared_distances_overflow_exits_2(tmp_path, capsys):
+    link = tmp_path / "l.json"
+    t = 2.0 * np.pi * np.arange(16) / 16
+    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    link.write_text(json.dumps({"gamma1": (1e200 * circle).tolist(),
+                                "gamma2": (circle + [0.0, 0.0, 1.0]).tolist()}))
+    assert main(["link-energy", str(link)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "squared sample distances" in err
 
 
 def test_resolution_as_a_parameter_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ import cel
 import cel.cli
 import cel.mesh
 from cel import (FormatError, InputError, MeshQualityError, NearPoleError,
-                 ParameterError, PolyLink, TriMesh, euler_genus, load_link,
-                 load_obj, make_shape, save_link, save_obj)
+                 ParameterError, PolyLink, ResolutionWarning, TriMesh,
+                 euler_genus, load_link, load_obj, make_shape, mobius_energy,
+                 save_link, save_obj)
 from cel._accum import stable_sum
 from cel.curvature import _tangent_bases
 from cel.energies import _POLE_CANDIDATES, gauss_map_torus
@@ -426,19 +428,46 @@ def test_link_rejects_non_finite_coordinates(bad):
         PolyLink(other, circle)
 
 
-def test_link_rejects_overflowing_midpoints():
-    # every coordinate is finite, but neighbouring vertices near 1e308 sum
-    # past the float range, so a segment midpoint is inf
+def _circle16():
     t = 2.0 * np.pi * np.arange(16) / 16
-    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
-    huge = 1e308 * circle
-    assert np.isfinite(huge).all()
-    with pytest.raises(InputError, match="overflow"):
-        PolyLink(huge, circle)
-    with pytest.raises(InputError, match="overflow"):
-        PolyLink(circle, huge)
+    return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+
+
+def test_link_rejects_overflowing_midpoints():
+    # every coordinate is finite and the spread is small, but two circles
+    # at height 1e308 have neighbouring heights that sum past the float
+    # range, so a segment midpoint is inf
+    circle = _circle16()
+    high = circle + [0.0, 0.0, 1e308]
+    assert np.isfinite(high).all()
+    with pytest.raises(InputError, match="midpoints overflow"):
+        PolyLink(high, high + [3.0, 0.0, 0.0])
     # at 4e307 every sum of two neighbours stays in range
-    PolyLink(4e307 * circle, circle + [0.0, 0.0, 1.0])
+    low = circle + [0.0, 0.0, 4e307]
+    PolyLink(low, low + [3.0, 0.0, 0.0])
+
+
+def test_link_rejects_coordinates_whose_squared_distances_overflow():
+    circle = _circle16()
+    other = circle[:, [1, 2, 0]] + [1.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e200 * circle, 4e307 * circle, 1e308 * circle,
+                    circle + [0.0, 1e160, 0.0], 2.0 ** 510 * circle):
+            with pytest.raises(InputError, match="squared sample distances"):
+                PolyLink(big, other)
+            with pytest.raises(InputError, match="squared sample distances"):
+                PolyLink(other, big)
+        # both components scaled by 2^508 spread over 3 * 2^508 < 2^510:
+        # the link builds, and its distances and energy are those of the
+        # unit link times a power of two
+        unit = PolyLink(circle, other)
+        scale = 2.0 ** 508
+        link = PolyLink(scale * circle, scale * other)
+        assert link.min_distance() == scale * unit.min_distance()
+        assert link.diameter() == scale * unit.diameter()
+        warnings.simplefilter("ignore", ResolutionWarning)
+        assert mobius_energy(link) == mobius_energy(unit)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

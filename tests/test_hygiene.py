@@ -1,7 +1,11 @@
-"""Import and public-API hygiene of the library sources, read with `ast`."""
+"""Import and public-API hygiene of the library sources, read with `ast`,
+and the modules that `import cel` loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -156,3 +160,14 @@ def _private_cel_imports(path):
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demos_import_nothing_private_from_cel(path):
     assert _private_cel_imports(path) == []
+
+
+def test_import_cel_loads_no_scipy_spatial():
+    # scipy.spatial costs 0.13 to 0.16 s of import time, and nothing in cel
+    # needs it; a fresh interpreter shows what `import cel` alone loads
+    code = ("import sys, cel; print(sorted(m for m in sys.modules "
+            "if m == 'scipy.spatial' or m.startswith('scipy.spatial.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -10,7 +10,9 @@ each segment length.
 import numpy as np
 import pytest
 
-from cel import clifford_torus, real_harmonic_basis, sphere
+from cel import (clifford_torus, eigenfunction_width_series,
+                 harmonic_width_series, real_harmonic_basis, sphere)
+from cel import sweepouts
 from cel._accum import unit_directions
 from cel.sweepouts import _SUP_BLOCK, _level_set_lengths, _sampled_sup
 from test_level_sets import _reference_length
@@ -80,3 +82,33 @@ def test_sampled_sup_over_full_blocks_and_a_partial_one():
     got = [_sampled_sup(mesh, columns, 12, samples, [seed, 12])
            for seed in range(5)]
     assert got == want
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_block_product_equals_the_product_per_direction(order, rows):
+    # _sampled_sup computes a block's fields as one stacked product; each
+    # (L, 1) direction must give the gemv result of the direction alone
+    mesh = MESHES["sphere"]
+    sub = np.asarray(real_harmonic_basis(mesh.vertices, 4)[:, :21], order=order)
+    dirs = unit_directions(rows, 21, np.random.SeedSequence([3, rows]))
+    out = np.empty((64, mesh.vertex_count, 1))
+    np.matmul(sub, dirs[:, :, None], out=out[:rows])
+    for got, d in zip(out[:rows, :, 0], dirs):
+        assert np.array_equal(got, np.matmul(sub, d))
+
+
+def test_block_size_does_not_change_a_sup(monkeypatch):
+    # harmonic columns are C-ordered, Laplace eigenvectors F-ordered, and
+    # 105 samples end in a partial block at every block size below
+    mesh = MESHES["sphere"]
+    columns = real_harmonic_basis(mesh.vertices, 3)
+    results = []
+    for block in (1, 7, 32, 64):
+        monkeypatch.setattr(sweepouts, "_SUP_BLOCK", block)
+        results.append((
+            [_sampled_sup(mesh, columns, size, 105, [2, size])
+             for size in (2, 9, 16)],
+            harmonic_width_series(mesh, lengths=(2, 5, 9), seed=4),
+            eigenfunction_width_series(mesh, lengths=(2, 4, 7), seed=4)))
+    assert all(r == results[0] for r in results[1:])
