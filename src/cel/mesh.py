@@ -256,6 +256,13 @@ class PolyLink:
     64 consecutive samples, so separated components cost one box test per
     pair of runs instead of one distance per pair of points. min_distance()
     is the full minimum.
+
+    The spread bound keeps a sum of d <= 4 squared differences finite
+    without computing a distance, so it also rejects links whose spread
+    lies between 2^510 (about 3.4e153) and about 1.3e154, where the nearer
+    pairs of a 3-d link still have finite squared distances: a 16-point
+    circle of radius 5e153 against a unit circle built before the bound,
+    with a finite energy and an infinite diameter().
     """
 
     gamma1: np.ndarray

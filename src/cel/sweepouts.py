@@ -68,15 +68,18 @@ _LAST_SLOT = 2 - _CROSSED[:, ::-1].argmax(axis=1)
 
 _BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 # fields per kernel call in _sampled_sup: all 64 bits of a sign word, so each
-# pass over the faces and each call's overhead serve 64 fields. Against 32 on
-# a 2-core Xeon with a 2 MB L2 cache per core: the widths workload
-# (resolution-16 sphere, resolution-10 eigenfunctions) takes 10 to 15 percent
-# less time and 2.4 MB more peak resident memory. On the resolution-32
-# sphere, verify's width_scaling check takes about 1.5 percent more time
-# (5.38 against 5.30 s, medians of 5), since at high L the cut arrays of 64
-# fields outgrow the L2 cache; a call's numpy peak at L = 49 goes from 7.1
-# to 12.8 MiB
+# pass over the faces and each call's overhead serve 64 fields; half that once
+# faces x L passes _HALF_BLOCK_FL. A field cuts about 1.3 sqrt(faces L) faces,
+# and past about 25,000 cuts per call glibc returns the heap top the cut
+# arrays grew and faults it back in on the next call (with MALLOC_TOP_PAD_ at
+# 64 MiB the penalty goes). Time per field, 64 fields per call against 32, on
+# a 2-core Xeon (two runs): resolution-16 sphere 6 to 16% less at L = 4,
+# within noise at L = 9 to 20, 0 to 14% more at L = 25 and 26 to 38% more at
+# L = 36 and 49; resolution-10 Laplace eigenfunctions 16% less at L = 5 and
+# 9% less at L = 12; resolution-32 sphere 0 to 6% less at L = 4, 0 to 10%
+# more at L = 9 and within noise at L = 25
 _SUP_BLOCK = 64
+_HALF_BLOCK_FL = 100_000
 
 
 def _sign_words(fields, level):
@@ -95,15 +98,8 @@ def _sign_words(fields, level):
     return byte.view("<u8").ravel()
 
 
-def _face_edges(faces):
-    """The (start, end) vertices of edge slot 3 f + s, the edge of face f
-    from corner s to corner s+1 mod 3."""
-    return faces.ravel(), np.roll(faces, -1, axis=1).ravel()
-
-
-def _cut_faces(edges, fields, level):
-    """Every face that the level set of a field in a (B, V) block cuts,
-    with `edges` the _face_edges table of the faces.
+def _cut_faces(faces, fields, level):
+    """Every face that the level set of a field in a (B, V) block cuts.
 
     B is at most 64: the above/below signs of all B fields at a vertex are
     the bits of one word, and a face is cut by the fields whose bits differ
@@ -113,8 +109,7 @@ def _cut_faces(edges, fields, level):
     cases. Returns the field of each cut, ordered by field and then by face,
     and the (start, end) vertices of its first and last crossed edge.
     """
-    starts, ends = edges
-    wa, wb, wc = _sign_words(fields, level)[starts.reshape(-1, 3).T]
+    wa, wb, wc = _sign_words(fields, level)[faces.T]
     mixed = (wa ^ wb) | (wb ^ wc)
     hit = np.flatnonzero(mixed)
     # bit s of byte k of each hit face's word, as row 8k + s
@@ -132,6 +127,8 @@ def _cut_faces(edges, fields, level):
     code = (wa[face] >> shift & 1 | (wb[face] >> shift & 1) << 1
             | (wc[face] >> shift & 1) << 2).view(np.int64)
     face *= 3
+    starts = faces.ravel()
+    ends = np.roll(faces, -1, axis=1).ravel()
 
     def edge(table):
         slot = table[code]
@@ -162,9 +159,8 @@ def _fractions(flat, level, row, i, j):
     return ti
 
 
-def _level_set_lengths(mesh, fields, level, edges=None):
+def _level_set_lengths(mesh, fields, level):
     """Level-set length of each field in a (B, V) block, B <= 64, as a list.
-    `edges` is the _face_edges table of the mesh, built here if not given.
 
     Each cut triangle contributes the straight segment between its two edge
     crossings, and each field's segments are summed on their own, so a
@@ -173,9 +169,7 @@ def _level_set_lengths(mesh, fields, level, edges=None):
     Each face computes its own crossings: t is not symmetric in i and j, so
     an edge's two faces need not round its crossing alike.
     """
-    if edges is None:
-        edges = _face_edges(mesh.faces)
-    field, first, last = _cut_faces(edges, fields, level)
+    field, first, last = _cut_faces(mesh.faces, fields, level)
     bounds = np.searchsorted(field, np.arange(len(fields) + 1)).tolist()
     field *= fields.shape[1]
     flat = fields.ravel()
@@ -221,7 +215,7 @@ def sublevel_boundary(mesh, values, level=0.0):
     segment neighbors and the segments chain into disjoint closed loops.
     """
     fields = _one_field(mesh, values, level)
-    field, first, last = _cut_faces(_face_edges(mesh.faces), fields, level)
+    field, first, last = _cut_faces(mesh.faces, fields, level)
     if len(field) == 0:
         return CycleSet(loops=[], total_length=0.0)
 
@@ -357,13 +351,15 @@ def _sampled_sup(mesh, columns, truncation, samples, seed_key):
     if not (sub.flags.c_contiguous or sub.flags.f_contiguous):
         # a dense copy runs the same gemv kernel on fewer cache lines
         sub = sub.copy()
-    edges = _face_edges(mesh.faces)
-    fields = np.empty((min(_SUP_BLOCK, samples), len(sub)))
-    for start in range(0, samples, _SUP_BLOCK):
-        part = dirs[start:start + _SUP_BLOCK]
+    step = _SUP_BLOCK
+    if len(mesh.faces) * truncation > _HALF_BLOCK_FL:
+        step = -(-step // 2)
+    fields = np.empty((min(step, samples), len(sub)))
+    for start in range(0, samples, step):
+        part = dirs[start:start + step]
         block = fields[:len(part)]
         np.matmul(sub, part[:, :, None], out=block[:, :, None])
-        best = max(best, *_level_set_lengths(mesh, block, 0.0, edges))
+        best = max(best, *_level_set_lengths(mesh, block, 0.0))
     return best
 
 

@@ -452,8 +452,11 @@ def test_link_rejects_coordinates_whose_squared_distances_overflow():
     other = circle[:, [1, 2, 0]] + [1.0, 0.0, 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # a circle of radius 5e153 built before the bound and gave a finite
+        # energy; the bound rejects it all the same
         for big in (1e200 * circle, 4e307 * circle, 1e308 * circle,
-                    circle + [0.0, 1e160, 0.0], 2.0 ** 510 * circle):
+                    circle + [0.0, 1e160, 0.0], 2.0 ** 510 * circle,
+                    5e153 * circle):
             with pytest.raises(InputError, match="squared sample distances"):
                 PolyLink(big, other)
             with pytest.raises(InputError, match="squared sample distances"):

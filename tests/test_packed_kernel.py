@@ -14,7 +14,8 @@ from cel import (clifford_torus, eigenfunction_width_series,
                  harmonic_width_series, real_harmonic_basis, sphere)
 from cel import sweepouts
 from cel._accum import unit_directions
-from cel.sweepouts import _SUP_BLOCK, _level_set_lengths, _sampled_sup
+from cel.sweepouts import (_HALF_BLOCK_FL, _SUP_BLOCK, _level_set_lengths,
+                           _sampled_sup)
 from test_level_sets import _reference_length
 
 MESHES = {"sphere": sphere(resolution=16),
@@ -100,15 +101,37 @@ def test_block_product_equals_the_product_per_direction(order, rows):
 
 def test_block_size_does_not_change_a_sup(monkeypatch):
     # harmonic columns are C-ordered, Laplace eigenvectors F-ordered, and
-    # 105 samples end in a partial block at every block size below
+    # 105 samples end in a partial block at every block size below; a zero
+    # _HALF_BLOCK_FL halves every block, to 1, 4, 16 and 32 fields
     mesh = MESHES["sphere"]
     columns = real_harmonic_basis(mesh.vertices, 3)
     results = []
     for block in (1, 7, 32, 64):
-        monkeypatch.setattr(sweepouts, "_SUP_BLOCK", block)
-        results.append((
-            [_sampled_sup(mesh, columns, size, 105, [2, size])
-             for size in (2, 9, 16)],
-            harmonic_width_series(mesh, lengths=(2, 5, 9), seed=4),
-            eigenfunction_width_series(mesh, lengths=(2, 4, 7), seed=4)))
+        for half in (0, sweepouts._HALF_BLOCK_FL):
+            monkeypatch.setattr(sweepouts, "_SUP_BLOCK", block)
+            monkeypatch.setattr(sweepouts, "_HALF_BLOCK_FL", half)
+            results.append((
+                [_sampled_sup(mesh, columns, size, 105, [2, size])
+                 for size in (2, 9, 16)],
+                harmonic_width_series(mesh, lengths=(2, 5, 9), seed=4),
+                eigenfunction_width_series(mesh, lengths=(2, 4, 7), seed=4)))
     assert all(r == results[0] for r in results[1:])
+
+
+def test_blocks_halve_once_faces_times_size_passes_the_bound(monkeypatch):
+    mesh = MESHES["sphere"]
+    columns = real_harmonic_basis(mesh.vertices, 4)
+    seen = []
+
+    def record(mesh, fields, level, kernel=sweepouts._level_set_lengths):
+        seen.append(len(fields))
+        return kernel(mesh, fields, level)
+
+    monkeypatch.setattr(sweepouts, "_level_set_lengths", record)
+    blocks = {}
+    for size in (16, 25):
+        assert (len(mesh.faces) * size > _HALF_BLOCK_FL) == (size == 25)
+        seen.clear()
+        _sampled_sup(mesh, columns, size, 100, [0, size])
+        blocks[size] = list(seen)
+    assert blocks == {16: [64, 36], 25: [32, 32, 32, 4]}
